@@ -1,4 +1,6 @@
-//! Ablation benches for the engine's design choices (DESIGN.md):
+//! Ablation benches for the engine's design choices (the paper's own
+//! experiments are indexed by the `ALL` table in
+//! `src/bin/experiments.rs`):
 //!
 //! * **LP relaxation threshold** — exact branch & bound vs always-relax on
 //!   overlapping sets. The relaxation is a hard bound either way; the

@@ -1,6 +1,6 @@
-//! Criterion bench for the branch & bound MILP solver: the three
-//! warm-start tiers (cold crash / basis restore / tableau carry) crossed
-//! with sequential vs work-stealing-parallel search.
+//! Criterion bench for the branch & bound MILP solver: the two tiers
+//! (cold / tableau carry) crossed with sequential vs
+//! work-stealing-parallel search.
 //!
 //! The workload is a batch of PC-allocation-shaped problems — `max u·x`
 //! over random subset rows `Σ_{i∈S} xᵢ ≤ ku` with box bounds `0 ≤ xᵢ ≤ 4`
@@ -11,8 +11,8 @@
 //! Besides the wall-clock rows, every mode's sanity pass aggregates the
 //! solver's per-node counters ([`pc_solver::SearchStats`]) and emits them
 //! as `milp_pivots/...` JSON lines next to the timing rows: carried vs
-//! rebuilt node counts and their pivot totals — the measured
-//! O(m) → O(1) rebuild elimination of the tableau carry.
+//! rebuilt node counts and their pivot totals — the measured rebuild
+//! elimination of the tableau carry.
 //!
 //! Parallel ids carry the pool size (`…_par_4w` = 4 workers): the global
 //! pool is sized once per process from `RAYON_NUM_THREADS` / the
@@ -33,10 +33,9 @@ use rand::{Rng, SeedableRng};
 /// A random allocation-shaped MILP that forces real branching. Like the
 /// paper's §4.2 programs it mixes `Σ x ≤ ku` caps with `Σ x ≥ kl` floors
 /// (frequency lower bounds): the floors are what make phase 1 non-trivial
-/// at every node — an all-slack basis is infeasible, a cold solve pays
-/// artificial elimination, the basis tier's crash + dual restore skips
-/// phase 1 but still rebuilds the tableau, and the carry tier skips the
-/// rebuild too (one appended row + O(1) dual pivots per node).
+/// at every node — an all-slack basis is infeasible, so a cold solve
+/// pays artificial elimination, while the carry tier skips the rebuild
+/// (one appended row + O(1) dual pivots per node).
 fn try_alloc_problem(nvars: usize, nrows: usize, seed: u64) -> MilpProblem {
     let mut rng = StdRng::seed_from_u64(seed);
     let u: Vec<f64> = (0..nvars)
@@ -85,33 +84,19 @@ fn alloc_problems(nvars: usize, nrows: usize, count: usize) -> Vec<(MilpProblem,
 
 fn modes() -> Vec<(String, MilpOptions)> {
     let pool = rayon::current_num_threads();
-    let tiers: [(&str, bool, bool); 3] = [
-        ("cold", false, false),
-        ("basis", true, false),
-        ("carry", true, true),
-    ];
+    let tiers = [("cold", false), ("carry", true)];
     let mut out = Vec::new();
-    for (tier, warm_start, tableau_carry) in tiers {
-        out.push((
-            format!("{tier}_seq"),
-            MilpOptions {
-                threads: 1,
-                warm_start,
-                tableau_carry,
-                ..MilpOptions::default()
-            },
-        ));
-    }
-    for (tier, warm_start, tableau_carry) in tiers {
-        out.push((
-            format!("{tier}_par_{pool}w"),
-            MilpOptions {
-                threads: 0,
-                warm_start,
-                tableau_carry,
-                ..MilpOptions::default()
-            },
-        ));
+    for (suffix, threads) in [("seq".to_string(), 1), (format!("par_{pool}w"), 0)] {
+        for (tier, warm_start) in tiers {
+            out.push((
+                format!("{tier}_{suffix}"),
+                MilpOptions {
+                    threads,
+                    warm_start,
+                    ..MilpOptions::default()
+                },
+            ));
+        }
     }
     out
 }

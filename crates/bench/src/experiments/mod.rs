@@ -1,5 +1,6 @@
 //! One module per table/figure of the paper's evaluation. Each exposes
-//! `run(scale) -> ExpTable` (the index lives in DESIGN.md).
+//! `run(scale) -> ExpTable`; the `ALL` table in `src/bin/experiments.rs`
+//! indexes them by id.
 
 pub mod fig1;
 pub mod fig10;

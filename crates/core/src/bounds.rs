@@ -31,7 +31,7 @@ use pc_budget::QueryBudget;
 use pc_predicate::Region;
 use pc_solver::{
     greedy, solve_lp_tableau, solve_milp_budgeted, CanonicalTableau, ConstraintOp, LinearProgram,
-    MilpOptions, MilpProblem, SearchStats, Sense, WarmStart,
+    MilpOptions, MilpProblem, SearchStats, Sense,
 };
 use pc_storage::{AggKind, AggQuery};
 use std::cell::Cell as StdCell;
@@ -91,28 +91,20 @@ pub struct BoundOptions {
     /// shared path may admit more unverified cells and report wider
     /// ranges. Disable to A/B the fast path against the naive one.
     pub shared_group_by: bool,
-    /// Chain simplex warm starts between related LP solves: consecutive
-    /// groups of a GROUP-BY, the probes of one AVG binary search, and —
-    /// through [`MilpOptions::warm_start`] — parent-to-child node
-    /// relaxations inside branch & bound. Disabling this turns all of
-    /// them off, *including* the tableau carry (the carry is the warm
-    /// start's deeper tier; the engine knob is the whole-family switch,
-    /// unlike the solver-level [`MilpOptions`] pair, where the
-    /// contradictory `warm_start: false, tableau_carry: true` is rejected
-    /// with an error).
+    /// Carry whole canonical simplex tableaux between related LP solves
+    /// (on by default): parent-to-child inside branch & bound (through
+    /// [`MilpOptions::warm_start`]; the child appends its branch bound as
+    /// one row — O(1) pivots per node instead of a cold rebuild), across
+    /// the probes of one AVG binary search (the same tableau re-priced
+    /// ~80 times with zero rebuilds), across consecutive groups of a
+    /// GROUP-BY, and — through a [`crate::Session`]'s per-worker caches —
+    /// across *queries* and epochs, adapting small row deltas in place.
+    /// A tableau that no longer fits the next LP is discarded and that LP
+    /// solved cold. Disabled, every LP solves cold: the reference the
+    /// equivalence tests compare against (`pc … --no-warm-start`). Never
+    /// affects results, only work — see [`BoundReport::solver`] for the
+    /// counters.
     pub warm_start: bool,
-    /// Carry whole canonical tableaux instead of just bases wherever the
-    /// chained LPs allow it (on by default): parent-to-child inside
-    /// branch & bound (append the branch bound as one row — O(1) pivots
-    /// per node instead of an O(m) rebuild + crash), and across the LP
-    /// solves of one chain when the constraint structure matches exactly
-    /// (the AVG binary search re-prices the same tableau ~80 times with
-    /// zero rebuilds; a [`crate::Session`]'s per-worker caches carry
-    /// tableaux across *queries*). Structure mismatches degrade to the
-    /// basis tier automatically. Honest A/B switch
-    /// (`pc … --no-tableau-carry`): never affects results, only work —
-    /// see [`BoundReport::solver`] for the counters.
-    pub tableau_carry: bool,
     /// Factor the cell set over the constraint-interaction graph (on by
     /// default): connected components of the pairwise attribute-box
     /// overlap graph decompose independently as parallel shards and their
@@ -150,7 +142,6 @@ impl Default for BoundOptions {
             parallel_depth: None,
             shared_group_by: true,
             warm_start: true,
-            tableau_carry: true,
             shard: true,
             ordering: true,
         }
@@ -189,7 +180,7 @@ impl ResultRange {
 }
 
 /// Aggregated LP/MILP work counters of one bounding call — the serving
-/// layer's view of the warm-start tiers (see [`pc_solver::SolveStats`]
+/// layer's view of the tableau carry (see [`pc_solver::SolveStats`]
 /// and [`pc_solver::SearchStats`] for the per-solve species). "Carried"
 /// solves reused a canonical tableau (branch & bound children answered
 /// in O(1) pivots, or a chained LP re-priced under a new objective);
@@ -240,7 +231,7 @@ pub struct BoundReport {
     /// Decomposition work counters.
     pub stats: DecomposeStats,
     /// LP/MILP work counters (pivots, carried vs rebuilt tableaux, branch
-    /// & bound nodes) — the measured side of the warm-start tiers.
+    /// & bound nodes) — the measured side of the tableau carry.
     pub solver: LpWork,
     /// `true` when the query's [`QueryBudget`] tripped somewhere along the
     /// pipeline and the engine degraded instead of erroring: the
@@ -271,29 +262,22 @@ pub struct BoundReport {
 /// prior is only offered to a structurally compatible successor.
 /// Lookups additionally probe *neighboring* row counts through
 /// [`take_cached`]: a serving epoch's add/retire moves one constraint's
-/// rows while keeping the variables, and the solver's delta-adaptation
-/// tier (`pc_solver::solve_lp_tableau`) absorbs exactly that — while
+/// rows while keeping the variables, and the solver's delta adaptation
+/// (`pc_solver::solve_lp_tableau`) absorbs exactly that — while
 /// shapes farther apart than the adaptation ceiling keep their own
 /// slots, so interleaved query shapes never evict each other's chains.
 type WarmKey = (Sense, bool, usize, usize);
 
-/// Take the warm entry for `key`: the exact slot first, else the closest
-/// slot with the same probe kind and variable count whose row count is
-/// within the solver's [`pc_solver::ADAPT_MAX_DELTA`] **and whose carried
-/// tableau verifies as reusable for `lp`** (exact re-price or in-ceiling
-/// row delta — the cross-epoch churn case). The reuse check is what keeps
-/// neighbor probing from *evicting*: stealing a tableau the solver would
-/// only demote-and-discard would destroy another query shape's chain for
-/// nothing, so incompatible neighbors (and basis entries, whose shape
-/// cannot fit a different row count anyway) stay put.
 /// Lock a warm-start cache, recovering from mutex poisoning. A panicked
 /// solve task can die between a cache `take` and the re-insert; whatever
 /// it left behind is suspect (a torn or half-repriced tableau would be
-/// *demoted* by the solver's reuse checks, but there is no reason to keep
+/// *discarded* by the solver's reuse checks, but there is no reason to keep
 /// gambling on it), so recovery clears the slot map — the next solves
 /// rebuild their chains cold. Correctness is unaffected either way; this
 /// only removes the poisoned-mutex panic from every later query.
-pub(crate) fn lock_warm(cache: &WarmCache) -> MutexGuard<'_, HashMap<WarmKey, CachedWarm>> {
+pub(crate) fn lock_warm(
+    cache: &WarmCache,
+) -> MutexGuard<'_, HashMap<WarmKey, Box<CanonicalTableau>>> {
     cache.lock().unwrap_or_else(|poisoned| {
         let mut map = poisoned.into_inner();
         map.clear();
@@ -301,7 +285,19 @@ pub(crate) fn lock_warm(cache: &WarmCache) -> MutexGuard<'_, HashMap<WarmKey, Ca
     })
 }
 
-fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<CachedWarm> {
+/// Take the warm entry for `key`: the exact slot first, else the closest
+/// slot with the same probe kind and variable count whose row count is
+/// within the solver's [`pc_solver::ADAPT_MAX_DELTA`] **and whose carried
+/// tableau verifies as reusable for `lp`** (exact re-price or in-ceiling
+/// row delta — the cross-epoch churn case). The reuse check is what keeps
+/// neighbor probing from *evicting*: stealing a tableau the solver would
+/// only discard would destroy another query shape's chain for nothing, so
+/// incompatible neighbors stay put.
+fn take_cached(
+    cache: &WarmCache,
+    key: WarmKey,
+    lp: &LinearProgram,
+) -> Option<Box<CanonicalTableau>> {
     let mut map = lock_warm(cache);
     if let Some(hit) = map.remove(&key) {
         return Some(hit);
@@ -314,20 +310,11 @@ fn take_cached(cache: &WarmCache, key: WarmKey, lp: &LinearProgram) -> Option<Ca
                 && e == extra
                 && v == nvars
                 && r.abs_diff(rows) <= pc_solver::ADAPT_MAX_DELTA
-                && matches!(entry, CachedWarm::Tableau(t) if t.can_reuse(lp))
+                && entry.can_reuse(lp)
         })
         .map(|(&k, _)| k)
         .min_by_key(|&(_, _, _, r)| r.abs_diff(rows));
     neighbor.and_then(|k| map.remove(&k))
-}
-
-/// What a chain slot holds between solves: the whole canonical tableau
-/// when the engine carries ([`BoundOptions::tableau_carry`]), or just the
-/// basis otherwise. A carried tableau whose structure no longer matches
-/// the next program demotes itself to its basis inside the solver.
-pub(crate) enum CachedWarm {
-    Basis(WarmStart),
-    Tableau(Box<CanonicalTableau>),
 }
 
 /// Shared warm-start store for one chain of related bounding calls (a
@@ -336,11 +323,12 @@ pub(crate) enum CachedWarm {
 /// `Arc<Mutex>`: chains are *effectively* single-threaded — the drivers
 /// hand each worker its own store — but tasks are stealable, so the
 /// store must tolerate whichever thread ends up running them. The mutex
-/// is uncontended in that design; a stale or racing basis can cost a
-/// cold fallback, never correctness. Entries are *taken* (moved) for the
+/// is uncontended in that design; a stale or racing tableau can cost a
+/// cold fallback, never correctness. Each slot holds the whole canonical
+/// tableau of its chain's last solve; entries are *taken* (moved) for the
 /// duration of a solve and re-inserted after — carrying a tableau must
 /// not clone it.
-pub(crate) type WarmCache = Arc<Mutex<HashMap<WarmKey, CachedWarm>>>;
+pub(crate) type WarmCache = Arc<Mutex<HashMap<WarmKey, Box<CanonicalTableau>>>>;
 
 /// One warm-start cache per pool worker (plus one for the calling
 /// thread): tasks solved on the same worker chain their simplex bases
@@ -1307,19 +1295,15 @@ impl<'a> BoundEngine<'a> {
         // search foremost) share constraint structure and differ only in
         // objective, so each solve seeds the next solve's *root*
         // relaxation with its carried tableau. Same cache slots as the
-        // plain LP chain; a structural mismatch demotes inside the solver.
+        // plain LP chain; a structural mismatch is discarded inside the
+        // solver.
         let milp_options = self.milp_options();
         let key: WarmKey = (sense, extra_min_total, lp.num_vars(), lp.constraints.len());
         let chain = milp_options
-            .tableau_carry
+            .warm_start
             .then_some(&p.warm)
             .and_then(|w| w.as_ref());
-        let prior = chain.and_then(|cache| match take_cached(cache, key, &lp) {
-            Some(CachedWarm::Tableau(t)) => Some(*t),
-            // a basis entry under a carry-enabled engine cannot occur
-            // (carry-on chains always store tableaux); drop defensively
-            Some(CachedWarm::Basis(_)) | None => None,
-        });
+        let prior = chain.and_then(|cache| take_cached(cache, key, &lp).map(|t| *t));
         let mut milp_problem = MilpProblem::all_integer(lp.clone());
         if let Some(w) = &p.branch_weights {
             // Estimate-guided branching: the solver decides the most
@@ -1331,7 +1315,7 @@ impl<'a> BoundEngine<'a> {
             Ok((sol, root)) => {
                 p.record_search(sol.nodes, sol.search);
                 if let (Some(cache), Some(root)) = (chain, root) {
-                    lock_warm(cache).insert(key, CachedWarm::Tableau(Box::new(root)));
+                    lock_warm(cache).insert(key, Box::new(root));
                 }
                 Ok(sol.objective)
             }
@@ -1354,18 +1338,14 @@ impl<'a> BoundEngine<'a> {
 
     /// The branch & bound configuration for this engine's allocation
     /// MILPs: the engine-level knobs flow into the solver-level ones, so
-    /// `BoundOptions { threads, warm_start, tableau_carry }` configures
-    /// the whole vertical slice without callers knowing the solver has
-    /// its own knobs. A strictly sequential engine (`threads: 1`) forces
-    /// a sequential search; otherwise `milp.threads` left at its
-    /// sequential default inherits the engine's fan-out (set it
-    /// explicitly to decouple the two). `warm_start: false` disables the
-    /// whole warm family — node-to-node basis reuse, the LP chains, *and*
-    /// the tableau carry (so the engine never hands the solver the
-    /// contradictory `warm_start: false, tableau_carry: true` combination
-    /// the solver rejects); `tableau_carry: false` alone keeps the basis
-    /// tier and drops only tier 3. All three engine knobs stay honest A/B
-    /// switches for the whole pipeline.
+    /// `BoundOptions { threads, warm_start }` configures the whole
+    /// vertical slice without callers knowing the solver has its own
+    /// knobs. A strictly sequential engine (`threads: 1`) forces a
+    /// sequential search; otherwise `milp.threads` left at its sequential
+    /// default inherits the engine's fan-out (set it explicitly to
+    /// decouple the two). `warm_start: false` disables the tableau carry
+    /// everywhere — node to node and along the LP chains. Both engine
+    /// knobs stay honest A/B switches for the whole pipeline.
     fn milp_options(&self) -> MilpOptions {
         let threads = if self.options.threads == 1 {
             1
@@ -1374,13 +1354,9 @@ impl<'a> BoundEngine<'a> {
         } else {
             self.options.milp.threads
         };
-        let warm_start = self.options.warm_start && self.options.milp.warm_start;
         MilpOptions {
             threads,
-            warm_start,
-            tableau_carry: warm_start
-                && self.options.tableau_carry
-                && self.options.milp.tableau_carry,
+            warm_start: self.options.warm_start && self.options.milp.warm_start,
             ..self.options.milp
         }
     }
@@ -1388,13 +1364,12 @@ impl<'a> BoundEngine<'a> {
     /// Solve an LP, consulting and refreshing the problem's warm-start
     /// cache when a chain supplied one. The cache key pins the probe kind
     /// and the tableau dimensions; the solver additionally verifies
-    /// structural/basis compatibility and falls back tier by tier (carry
-    /// → basis crash → cold), so a stale entry can cost time but never
-    /// correctness. With [`BoundOptions::tableau_carry`] the slot holds
+    /// structural compatibility and falls back to a cold solve, so a
+    /// stale entry can cost time but never correctness. The slot holds
     /// the whole canonical tableau — moved out for the solve and moved
     /// back after — so an AVG binary search re-prices one tableau across
     /// all its probes and a [`crate::Session`] carries tableaux across
-    /// queries, not just bases.
+    /// queries.
     fn solve_lp_maybe_warm(
         &self,
         p: &CellProblem,
@@ -1405,24 +1380,15 @@ impl<'a> BoundEngine<'a> {
         // Cache creation is already gated on `options.warm_start` at both
         // construction sites (`bound`, the group-by chunk driver).
         let Some(cache) = &p.warm else {
-            let (sol, ct) = solve_lp_tableau(lp, None, None)?;
+            let (sol, ct) = solve_lp_tableau(lp, None)?;
             p.record_lp(ct.stats());
             return Ok(sol.objective);
         };
         let key: WarmKey = (sense, extra_min_total, lp.num_vars(), lp.constraints.len());
-        let (prior, basis) = match take_cached(cache, key, lp) {
-            Some(CachedWarm::Tableau(t)) => (Some(*t), None),
-            Some(CachedWarm::Basis(b)) => (None, Some(b)),
-            None => (None, None),
-        };
-        let (sol, ct) = solve_lp_tableau(lp, prior, basis.as_ref())?;
+        let prior = take_cached(cache, key, lp).map(|t| *t);
+        let (sol, ct) = solve_lp_tableau(lp, prior)?;
         p.record_lp(ct.stats());
-        let entry = if self.options.tableau_carry {
-            CachedWarm::Tableau(Box::new(ct))
-        } else {
-            CachedWarm::Basis(ct.warm_start())
-        };
-        lock_warm(cache).insert(key, entry);
+        lock_warm(cache).insert(key, Box::new(ct));
         Ok(sol.objective)
     }
 
@@ -1967,7 +1933,7 @@ mod tests {
     }
 
     #[test]
-    fn tableau_carry_never_changes_ranges_and_counts_work() {
+    fn carry_never_changes_ranges_and_counts_work() {
         // Floors force Ge rows (real phase 1) and an AVG binary search —
         // the chain shape the carry accelerates. Carry on and off must
         // agree on every range; the carry run must actually carry.
@@ -1992,10 +1958,10 @@ mod tests {
         set.set_domain(domain);
 
         let carry_engine = BoundEngine::new(&set);
-        let basis_engine = BoundEngine::with_options(
+        let cold_engine = BoundEngine::with_options(
             &set,
             BoundOptions {
-                tableau_carry: false,
+                warm_start: false,
                 ..BoundOptions::default()
             },
         );
@@ -2009,11 +1975,11 @@ mod tests {
         ] {
             let q = AggQuery::new(agg, 1, Predicate::always());
             let with = carry_engine.bound(&q).unwrap();
-            let without = basis_engine.bound(&q).unwrap();
+            let without = cold_engine.bound(&q).unwrap();
             assert!(
                 (with.range.lo - without.range.lo).abs() < 1e-5
                     && (with.range.hi - without.range.hi).abs() < 1e-5,
-                "{agg:?}: carry [{}, {}] vs basis [{}, {}]",
+                "{agg:?}: carry [{}, {}] vs cold [{}, {}]",
                 with.range.lo,
                 with.range.hi,
                 without.range.lo,
@@ -2021,7 +1987,7 @@ mod tests {
             );
             assert_eq!(
                 without.solver.carried, 0,
-                "{agg:?}: basis run must not carry"
+                "{agg:?}: cold run must not carry"
             );
             carried_total += with.solver.carried;
         }

@@ -41,7 +41,7 @@
 //!    remapping the group coordinate.
 //! 4. Solve **every group as its own stealable task** on the
 //!    work-stealing pool, preserving output order, with per-worker
-//!    simplex warm-start chains ([`pc_solver::solve_lp_warm`]).
+//!    carried-tableau chains ([`pc_solver::solve_lp_tableau`]).
 //!
 //! One catalog shape opts out of the shared scheme: a set whose
 //! constraint-interaction graph has several connected components

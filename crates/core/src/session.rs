@@ -81,7 +81,7 @@
 //!   without a SAT call;
 //! * simplex **warm starts chain across queries and across epochs**: the
 //!   session keeps per-worker [`WarmCaches`] alive for its whole
-//!   lifetime. With [`crate::BoundOptions::tableau_carry`] (the default)
+//!   lifetime. With [`crate::BoundOptions::warm_start`] (the default)
 //!   each chain slot holds the whole **canonical tableau**; a successor
 //!   LP with identical constraint structure re-prices it under its new
 //!   objective, and — new with the versioned API — a successor whose
@@ -89,9 +89,9 @@
 //!   **adapted in place**: the changed row is appended to / deleted from
 //!   the carried tableau with a dual restore (see
 //!   `pc_solver::solve_lp_tableau`), instead of falling all the way back
-//!   to a cold rebuild. A larger structural mismatch still demotes to
-//!   the basis tier and from there to cold, so churn can cost work but
-//!   never correctness.
+//!   to a cold rebuild. A larger structural mismatch discards the
+//!   tableau and solves cold, so churn can cost work but never
+//!   correctness.
 //!
 //! # What mutations invalidate (and what they don't)
 //!
@@ -1044,7 +1044,7 @@ impl Session {
         engine.set_estimates(Arc::clone(&epoch.estimates));
         if !self.options.cache_cells {
             // Cold cells, warm chains: the honest baseline for the cache
-            // knob still benefits from cross-query basis reuse.
+            // knob still benefits from cross-query tableau carry.
             return engine.bound_with_warm(query, warm, budget);
         }
         let sharded = self.cells_of_budgeted(epoch, budget)?;

@@ -7,11 +7,14 @@
 //! runs the whole file under a pinned 4-worker pool). A separate test
 //! pins an epoch mid-`bound_many` while the catalog churns and asserts
 //! the whole batch is answered by exactly one epoch's oracle (snapshot
-//! isolation).
+//! isolation), and a deterministic churn script checks that the carried
+//! simplex tableaux — adapted across epochs, or discarded for a cold
+//! solve when they no longer fit — answer exactly like a session that
+//! solves every LP cold.
 
 use pc_core::{
-    decompose, BoundEngine, BoundError, BoundOptions, ConstraintId, FrequencyConstraint, PcSet,
-    PredicateConstraint, Session, SessionOptions, Strategy, ValueConstraint,
+    decompose, BoundEngine, BoundError, BoundOptions, ConstraintId, FrequencyConstraint, LpWork,
+    PcSet, PredicateConstraint, Session, SessionOptions, Strategy, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -357,4 +360,96 @@ fn bound_many_pins_exactly_one_epoch_under_mutation() {
             .collect::<Vec<_>>(),
         "mutation must be observable for the pinning test to mean anything"
     );
+}
+
+/// A box constraint over `x ∈ [xlo, xhi]`, values in `[0, vmax]`, at most
+/// `ku` rows (plus a floor of 1 when `floor`).
+fn box_pc(xlo: f64, xhi: f64, vmax: f64, ku: u64, floor: bool) -> PredicateConstraint {
+    let freq = if floor {
+        FrequencyConstraint::between(1, ku)
+    } else {
+        FrequencyConstraint::at_most(ku)
+    };
+    PredicateConstraint::new(
+        Predicate::always()
+            .and(Atom::between(0, xlo, xhi + 1.0))
+            .and(Atom::between(1, 0.0, vmax + 1.0)),
+        ValueConstraint::none().with(1, Interval::closed(0.0, vmax)),
+        freq,
+    )
+}
+
+/// Cross-epoch tableau carry against the cold reference: a churned
+/// session serving repeated query shapes through add / retire / replace
+/// must return the same ranges and `closed` flags as the same session
+/// with `warm_start: false`, and after the first round its solver
+/// counters must show both carried solves (re-priced or adapted across an
+/// epoch) and cold rebuilds (no prior, or a prior discarded because it no
+/// longer fits the epoch's LP) — so both paths actually ran.
+#[test]
+fn churned_session_carry_matches_cold_through_both_paths() {
+    let seed = || {
+        build_set(vec![
+            box_pc(0.0, 6.0, 20.0, 6, true),
+            box_pc(3.0, 9.0, 25.0, 5, false),
+            box_pc(5.0, 10.0, 12.0, 4, true),
+            box_pc(0.0, 10.0, 30.0, 12, false),
+        ])
+    };
+    let session = |warm_start: bool| {
+        Session::with_options(
+            seed(),
+            SessionOptions {
+                bound: BoundOptions {
+                    threads: 1,
+                    warm_start,
+                    ..BoundOptions::default()
+                },
+                ..SessionOptions::default()
+            },
+        )
+    };
+    let (carry, cold) = (session(true), session(false));
+    let queries: Vec<AggQuery> = (0..8)
+        .map(|i| {
+            let lo = (i % 4) as f64 * 2.0;
+            let predicate = Predicate::atom(Atom::between(0, lo, lo + 5.0));
+            let agg = [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Max][i / 2 % 4];
+            AggQuery::new(agg, 1, predicate)
+        })
+        .collect();
+    // wide caps contain every cell, so admitting or retiring one moves a
+    // single LP row (the delta the carry adapts); the replace changes a
+    // value range and so the cells' bounds (a prior that must be
+    // discarded)
+    let ops = [
+        Op::Add(box_pc(0.0, 10.0, 28.0, 10, false)),
+        Op::Add(box_pc(0.0, 10.0, 26.0, 9, false)),
+        Op::Retire(4),
+        Op::Replace(1, box_pc(3.0, 9.0, 18.0, 5, false)),
+        Op::Add(box_pc(2.0, 7.0, 22.0, 3, true)),
+        Op::Retire(0),
+    ];
+    let mut work = LpWork::default();
+    for round in 0..=ops.len() {
+        if round > 0 {
+            let op = &ops[round - 1];
+            assert!(apply(&carry, op) && apply(&cold, op), "op {op:?} applies");
+        }
+        for q in &queries {
+            let (got, want) = (carry.bound(q), cold.bound(q));
+            if let Err(msg) = results_equal(q, &want, &got) {
+                panic!("round {round}: {msg}");
+            }
+            if let (Ok(got), Ok(want)) = (&got, &want) {
+                assert_eq!(want.solver.carried, 0, "the cold session never carries");
+                if round > 0 {
+                    work.carried += got.solver.carried;
+                    work.rebuilt += got.solver.rebuilt;
+                }
+            }
+        }
+    }
+    assert!(work.carried > 0, "no carried solve after round 0: {work:?}");
+    assert!(work.rebuilt > 0, "no cold rebuild after round 0: {work:?}");
 }

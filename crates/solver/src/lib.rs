@@ -8,7 +8,7 @@
 //! implements both from scratch:
 //!
 //! * [`simplex`] — a dense two-phase primal simplex solver with Bland's
-//!   anti-cycling rule.
+//!   anti-cycling rule, solving cold or on a carried tableau.
 //! * [`milp`] — branch & bound over the LP relaxation with incumbent
 //!   pruning.
 //! * [`greedy`] — the paper's fast special case for *disjoint* predicate
@@ -33,6 +33,6 @@ pub use milp::{
     SearchStats,
 };
 pub use simplex::{
-    solve_lp, solve_lp_tableau, solve_lp_warm, BranchBound, CanonicalTableau, ChildSolve,
-    LpSolution, SolveStats, WarmStart, ADAPT_MAX_DELTA,
+    solve_lp, solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, LpSolution, SolveStats,
+    ADAPT_MAX_DELTA,
 };

@@ -1,5 +1,5 @@
-//! Branch & bound mixed-integer linear programming — warm-started,
-//! tableau-carrying, and parallel.
+//! Branch & bound mixed-integer linear programming — tableau-carrying
+//! and parallel.
 //!
 //! The PC bounding problem (§4.2 of the paper) requires *integer* row
 //! allocations per cell. We solve it by branch & bound over the LP
@@ -8,59 +8,39 @@
 //! variable with `x ≤ ⌊v⌋` and `x ≥ ⌈v⌉` children. Nodes whose relaxation
 //! bound cannot beat the incumbent are pruned.
 //!
-//! # Warm starts down the tree: the three tiers
+//! # Warm starts down the tree: the two tiers
 //!
 //! A child node's LP differs from its parent's by a single tightened
-//! variable bound, which the engine exploits at three escalating levels:
+//! variable bound. Each node reaches its relaxation in one of two ways:
 //!
-//! 1. **Cold crash** (`warm_start: false, tableau_carry: false`) — every
-//!    node standardizes its LP, builds a tableau, and runs phase 1 from
-//!    the slack/artificial basis. The property-tested oracle.
-//! 2. **Basis restore** ([`MilpOptions::warm_start`]) — the parent's
-//!    optimal simplex *basis* is threaded into
-//!    [`solve_lp_tableau`](crate::solve_lp_tableau): the child still
-//!    rebuilds its tableau from scratch, then crashes the parent basis
-//!    in (O(m) pivots) and dual-restores feasibility, skipping phase 1.
-//!    Basis incompatibility silently degrades to a cold solve.
-//! 3. **Tableau carry** ([`MilpOptions::tableau_carry`], the default) —
-//!    the parent's whole [`CanonicalTableau`] is carried: the child
-//!    appends its branch bound as one row, runs a single elimination
-//!    pass against the parent-optimal basis, and dual-restores — **O(1)
-//!    pivots per node** instead of the O(m) rebuild + crash of tier 2.
-//!    Parents hand the tableau to both children through an [`Arc`]
-//!    snapshot: the near child (explored first, on the same worker)
-//!    clones the core lazily, and the far child — which by then usually
-//!    holds the last reference, whether it ran locally or was stolen —
-//!    takes it by move. A carried solve that stalls (dual-restore
-//!    iteration cap, numerically degenerate re-optimization) falls back
-//!    to a fresh rebuild, and every
+//! 1. **Cold** (`warm_start: false`) — every node standardizes its LP,
+//!    builds a tableau, and runs phase 1 from the slack/artificial basis.
+//!    The property-tested oracle.
+//! 2. **Tableau carry** ([`MilpOptions::warm_start`], the default) — the
+//!    parent's whole [`CanonicalTableau`] is carried: the child appends
+//!    its branch bound as one row, runs a single elimination pass against
+//!    the parent-optimal basis, and dual-restores — **O(1) pivots per
+//!    node** instead of a cold rebuild's phase 1 + phase 2. Parents hand
+//!    the tableau to both children through an [`Arc`] snapshot: the near
+//!    child (explored first, on the same worker) clones the core lazily,
+//!    and the far child — which by then usually holds the last reference,
+//!    whether it ran locally or was stolen — takes it by move. A carried
+//!    solve that stalls (dual-restore iteration cap, numerically
+//!    degenerate re-optimization) rebuilds cold, and every
 //!    [`TABLEAU_REFRESH_DEPTH`] consecutive carries the node rebuilds
-//!    anyway, bounding floating-point drift down deep chains. Appended
-//!    branch rows are garbage-collected on the way down: a cut that
-//!    dominates an earlier cut on the same (variable, direction) retires
-//!    the superseded row at append time, so a deep descent carries
-//!    O(root m + variables) rows rather than one per level — and the
-//!    periodic refresh folds the survivors into the node's merged bounds
-//!    for free (the rebuild standardizes from bounds, not rows).
-//!
-//!    Requesting `tableau_carry` while disabling `warm_start` is a
-//!    contradiction — the carried tableau *is* the warm start's deeper
-//!    tier — and is rejected with [`SolverError::BadModel`] rather than
-//!    silently ignored.
-//!
-//!    Interaction with the all-Le auto-disable: for a program whose rows
-//!    are all `≤` with nonnegative rhs, a cold phase 1 is free, so the
-//!    *basis-restore* tier is auto-disabled (crash + restore would be
-//!    pure overhead). The tableau carry stays active there — the work it
-//!    eliminates is the rebuild itself, which exists regardless of
-//!    phase-1 cost. (Branching only tightens variable bounds, so the
-//!    all-Le verdict holds for every node of the tree.)
+//!    cold anyway, bounding floating-point drift down deep chains.
+//!    Appended branch rows are garbage-collected on the way down: a cut
+//!    that dominates an earlier cut on the same (variable, direction)
+//!    retires the superseded row at append time, so a deep descent
+//!    carries O(root m + variables) rows rather than one per level — and
+//!    the periodic refresh folds the survivors into the node's merged
+//!    bounds for free (the rebuild standardizes from bounds, not rows).
 //!
 //!    Per-node pivot and rebuild counters ([`SearchStats`], on
-//!    [`MilpSolution::search`]) make the O(m) → O(1) claim measurable:
+//!    [`MilpSolution::search`]) make the saving measurable:
 //!    `benches/milp.rs` records them next to the wall-clock ablations,
 //!    and `tests/prop_milp_carry.rs` asserts carried nodes pivot
-//!    strictly less than rebuilt ones on Ge-bearing programs.
+//!    strictly less than cold-rebuilt ones on Ge-bearing programs.
 //!
 //! * **Parallel search** ([`MilpOptions::threads`]): children are explored
 //!   as stealable tasks on the work-stealing pool (`rayon::join`), the
@@ -80,9 +60,7 @@
 //!   additionally fixes the exact node visit order (the classic DFS
 //!   stack).
 
-use crate::simplex::{
-    solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, SolveStats, WarmStart,
-};
+use crate::simplex::{solve_lp_tableau, BranchBound, CanonicalTableau, ChildSolve, SolveStats};
 use crate::{Sense, SolverError};
 use pc_budget::{QueryBudget, TripReason};
 use std::collections::HashMap;
@@ -163,16 +141,11 @@ pub struct MilpOptions {
     /// not this number, decides actual concurrency). Objective and
     /// feasibility are identical in every mode.
     pub threads: usize,
-    /// Thread each node's parent simplex basis into the child relaxation
-    /// (on by default; tier 2 of the module docs). Never affects results,
-    /// only work. Disabling this while leaving [`MilpOptions::tableau_carry`]
-    /// on is rejected as a contradiction — see the module docs.
+    /// Carry each node's whole canonical tableau into its children
+    /// (append the branch bound as one row + dual-restore, O(1) pivots per
+    /// node; on by default). Off, every node solves cold. Never affects
+    /// results, only work.
     pub warm_start: bool,
-    /// Carry each node's whole canonical tableau into its children (tier
-    /// 3: append the branch bound as one row + dual-restore, O(1) pivots
-    /// per node; on by default). Requires [`MilpOptions::warm_start`].
-    /// Never affects results, only work.
-    pub tableau_carry: bool,
 }
 
 impl Default for MilpOptions {
@@ -182,16 +155,15 @@ impl Default for MilpOptions {
             best_effort: false,
             threads: 1,
             warm_start: true,
-            tableau_carry: true,
         }
     }
 }
 
 /// Work counters of one branch & bound search — the honest-measurement
-/// side of the warm-start tiers. "Carried" nodes were answered from the
-/// parent's canonical tableau (tier 3); "rebuilt" nodes standardized and
-/// built a tableau from scratch (tiers 1/2, including the root, carry
-/// stalls, and periodic refreshes). Nodes pruned before any LP solve
+/// side of the tableau carry. "Carried" nodes were answered from the
+/// parent's canonical tableau; "rebuilt" nodes standardized and built a
+/// tableau from scratch (the cold tier, including the root, carry stalls,
+/// and periodic refreshes). Nodes pruned before any LP solve
 /// (inconsistent branch bounds) appear in neither.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -201,8 +173,7 @@ pub struct SearchStats {
     pub rebuilt_nodes: u64,
     /// Simplex pivots spent in carried node solves.
     pub carried_pivots: u64,
-    /// Simplex pivots spent in rebuilt node solves (crash + phase 1 +
-    /// dual restore + phase 2).
+    /// Simplex pivots spent in rebuilt node solves (phase 1 + phase 2).
     pub rebuilt_pivots: u64,
     /// Incumbent installs (improvements or tie-break replacements) made
     /// by a **near** child — the branch direction the best-first child
@@ -251,12 +222,12 @@ pub fn solve_milp(
 /// LPs share constraint structure and differ only in the objective — the
 /// AVG binary search solves one such MILP per probe — hand each solve's
 /// root [`CanonicalTableau`] to the next, which re-prices it instead of
-/// rebuilding (a structural mismatch demotes to the basis tier inside
-/// [`solve_lp_tableau`], exactly like the LP chains). Returns the root
-/// tableau for the next solve in the chain when
-/// [`MilpOptions::tableau_carry`] is on and the search reached a root
-/// solve (`None` otherwise — e.g. `prior` arrived poisoned or carry is
-/// off); `prior` is ignored when carry is off.
+/// rebuilding (a structural mismatch is discarded for a cold solve
+/// inside [`solve_lp_tableau`], exactly like the LP chains). Returns the
+/// root tableau for the next solve in the chain when
+/// [`MilpOptions::warm_start`] is on and the search reached a root solve
+/// (`None` otherwise — e.g. `prior` arrived poisoned or carry is off);
+/// `prior` is ignored when carry is off.
 pub fn solve_milp_carried(
     problem: &MilpProblem,
     options: MilpOptions,
@@ -295,33 +266,8 @@ pub fn solve_milp_budgeted(
             ));
         }
     }
-    if options.tableau_carry && !options.warm_start {
-        // Mirror of the CLI flag-rejection hardening: the carried tableau
-        // is the warm start's deeper tier, so "no warm starts, but carry
-        // tableaux" is a contradiction — error instead of silently
-        // picking one of the two readings.
-        return Err(SolverError::BadModel(
-            "MilpOptions::tableau_carry requires warm_start; disable both to run cold".into(),
-        ));
-    }
-    // Node *basis* warm starts pay when a cold node solve has a real
-    // phase 1 — i.e. some row standardizes with an artificial (Ge/Eq, or
-    // a Le whose negative rhs flips). An all-Le program starts feasible
-    // on its slack basis for free, so there the crash-and-restore
-    // machinery is pure per-node overhead; skip it. (Branching only
-    // tightens variable bounds, so the verdict holds for every node of
-    // the tree.) The tableau carry is *not* auto-disabled: the rebuild it
-    // eliminates exists regardless of phase-1 cost.
-    let phase1_is_real = problem.lp.constraints.iter().any(|c| match c.op {
-        crate::ConstraintOp::Ge | crate::ConstraintOp::Eq => true,
-        crate::ConstraintOp::Le => c.rhs < 0.0,
-    });
-    let options = MilpOptions {
-        warm_start: options.warm_start && phase1_is_real,
-        ..options
-    };
     let search = Search::new(problem, options, budget);
-    if options.tableau_carry {
+    if options.warm_start {
         *search.root_prior.lock().unwrap() = prior;
     }
     if options.threads == 1 {
@@ -335,12 +281,10 @@ pub fn solve_milp_budgeted(
 /// What a node inherits from its parent to warm its relaxation solve.
 #[derive(Clone)]
 enum Warmth {
-    /// Nothing (the root, or both warm tiers disabled).
+    /// Nothing (the root, or carry disabled).
     Cold,
-    /// The parent's optimal basis (tier 2).
-    Basis(Arc<WarmStart>),
     /// The parent's canonical tableau plus the number of consecutive
-    /// carries since the last rebuild (tier 3).
+    /// carries since the last rebuild.
     Carried(Arc<CanonicalTableau>, u32),
 }
 
@@ -541,7 +485,7 @@ impl<'a> Search<'a> {
             return None;
         }
 
-        // Tier 3: answer the node from the carried parent tableau. The
+        // Carry tier: answer the node from the parent tableau. The
         // node's *last* override is its own branch bound; everything
         // before it is already baked into the parent's tableau.
         let mut solved: Option<(crate::LpSolution, Warmth)> = None;
@@ -568,24 +512,12 @@ impl<'a> Search<'a> {
             }
         }
 
-        // Tiers 2/1 (and the root, carry stalls, periodic refreshes):
-        // rebuild the node LP from scratch, crashing the parent basis in
-        // when tier 2 is on.
+        // Cold tier (and the root, carry stalls, periodic refreshes):
+        // rebuild the node LP from scratch.
         let (relax, child_warmth) = match solved {
             Some(pair) => pair,
             None => {
                 let lp = self.node_lp(overrides);
-                // A carried parent still donates its *basis* when the
-                // carry itself didn't run (stall, periodic refresh): the
-                // rebuild then costs the basis-crash tier, not a full
-                // cold phase 1. A branched parent's shape may no longer
-                // match the fresh standardization — crash_basis detects
-                // that and degrades cold, so offering it is free.
-                let basis = match (&warmth, self.options.warm_start) {
-                    (Warmth::Basis(b), true) => Some((**b).clone()),
-                    (Warmth::Carried(p, _), true) => Some(p.warm_start()),
-                    _ => None,
-                };
                 // The root consults the *chain* prior (solve_milp_carried):
                 // an AVG probe's root differs from the previous probe's
                 // only in the objective, so the carried tableau re-prices
@@ -596,21 +528,19 @@ impl<'a> Search<'a> {
                 } else {
                     None
                 };
-                match solve_lp_tableau(&lp, prior, basis.as_ref()) {
+                match solve_lp_tableau(&lp, prior) {
                     Ok((solution, tableau)) => {
                         if tableau.stats().rebuilt {
                             self.record_rebuilt(tableau.stats());
                         } else {
                             self.record_carried(tableau.stats().pivots);
                         }
-                        let next = if self.options.tableau_carry {
+                        let next = if self.options.warm_start {
                             let tableau = Arc::new(tableau);
                             if is_root {
                                 *self.root_out.lock().unwrap() = Some(Arc::clone(&tableau));
                             }
                             Warmth::Carried(tableau, 0)
-                        } else if self.options.warm_start {
-                            Warmth::Basis(Arc::new(tableau.warm_start()))
                         } else {
                             Warmth::Cold
                         };
@@ -818,19 +748,16 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Every valid (threads, warm_start, tableau_carry) combination the
-    /// engine supports.
-    fn all_modes() -> [MilpOptions; 6] {
+    /// Every (threads, warm_start) combination the engine supports.
+    fn all_modes() -> [MilpOptions; 4] {
         let base = MilpOptions::default();
-        let tiers = [(false, false), (true, false), (true, true)];
-        let mut out = [base; 6];
+        let mut out = [base; 4];
         let mut i = 0;
         for threads in [1usize, 0] {
-            for (warm_start, tableau_carry) in tiers {
+            for warm_start in [false, true] {
                 out[i] = MilpOptions {
                     threads,
                     warm_start,
-                    tableau_carry,
                     ..base
                 };
                 i += 1;
@@ -942,29 +869,10 @@ mod tests {
     }
 
     #[test]
-    fn carry_without_warm_start_is_rejected() {
-        // The silent-knob gap, closed: this combination used to be
-        // representable with one flag silently winning.
-        let lp = LinearProgram::maximize(vec![1.0]);
-        let r = solve_milp(
-            &MilpProblem::all_integer(lp),
-            MilpOptions {
-                warm_start: false,
-                tableau_carry: true,
-                ..MilpOptions::default()
-            },
-        );
-        assert!(
-            matches!(r, Err(SolverError::BadModel(_))),
-            "expected BadModel, got {r:?}"
-        );
-    }
-
-    #[test]
     fn all_le_program_still_carries_tableaux() {
-        // The all-Le auto-disable turns off the *basis* tier (phase 1 is
-        // free), not the carry tier: children must still be answered from
-        // carried tableaux, and the objective must match the cold oracle.
+        // A cold phase 1 is free on an all-Le program, but the carry
+        // still saves the rebuild: children must be answered from carried
+        // tableaux, and the objective must match the cold oracle.
         let mut lp = LinearProgram::maximize(vec![1.0, 1.0]);
         lp.add_constraint(vec![(0, 2.0), (1, 2.0)], Le, 3.0);
         let problem = MilpProblem::all_integer(lp);
@@ -972,7 +880,6 @@ mod tests {
             &problem,
             MilpOptions {
                 warm_start: false,
-                tableau_carry: false,
                 ..MilpOptions::default()
             },
         )
@@ -1098,20 +1005,11 @@ mod tests {
             &problem,
             MilpOptions {
                 warm_start: false,
-                tableau_carry: false,
                 ..MilpOptions::default()
             },
         )
         .unwrap();
-        let warm = solve_milp(
-            &problem,
-            MilpOptions {
-                warm_start: true,
-                tableau_carry: false,
-                ..MilpOptions::default()
-            },
-        )
-        .unwrap();
+        let warm = solve_milp(&problem, MilpOptions::default()).unwrap();
         assert_close(cold.objective, warm.objective);
         assert!(problem.lp.is_feasible(&warm.x, 1e-5));
     }
@@ -1159,9 +1057,9 @@ mod tests {
 
     #[test]
     fn carried_nodes_pivot_less_than_rebuilt_on_ge_programs() {
-        // The measured O(m) → O(1): on a Ge-bearing allocation shape the
-        // average pivots per carried node must be strictly below the
-        // average per rebuilt node of the basis-only run.
+        // The carry's saving, measured: on a Ge-bearing allocation shape
+        // the average pivots per carried node must be strictly below the
+        // average per rebuilt node of the cold run.
         let mut lp = LinearProgram::maximize(vec![5.9, 4.9, 3.9, 6.9, 2.9]);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Ge, 2.0);
         lp.add_constraint(vec![(2, 1.0), (3, 1.0), (4, 1.0)], Ge, 3.0);
@@ -1173,18 +1071,18 @@ mod tests {
         }
         let problem = MilpProblem::all_integer(lp);
         let carry = solve_milp(&problem, MilpOptions::default()).unwrap();
-        let basis = solve_milp(
+        let cold = solve_milp(
             &problem,
             MilpOptions {
-                tableau_carry: false,
+                warm_start: false,
                 ..MilpOptions::default()
             },
         )
         .unwrap();
-        assert_close(carry.objective, basis.objective);
+        assert_close(carry.objective, cold.objective);
         assert!(carry.search.carried_nodes > 0, "{:?}", carry.search);
         let carried_avg = carry.search.carried_pivots as f64 / carry.search.carried_nodes as f64;
-        let rebuilt_avg = basis.search.rebuilt_pivots as f64 / basis.search.rebuilt_nodes as f64;
+        let rebuilt_avg = cold.search.rebuilt_pivots as f64 / cold.search.rebuilt_nodes as f64;
         assert!(
             carried_avg < rebuilt_avg,
             "carried {carried_avg:.2} pivots/node vs rebuilt {rebuilt_avg:.2}"

@@ -1,18 +1,21 @@
-//! Property-based equivalence of the tableau-carry tier (tier 3): a
-//! branch & bound that answers each child from the parent's carried
-//! canonical tableau must prove the same objective as the cold oracle on
-//! random PC-allocation-shaped MILPs (`max u·x` over
-//! `kl ≤ Σ_{i∈S} xᵢ ≤ ku` rows with `0 ≤ xᵢ ≤ cap`), sequentially and on
-//! a pinned 4-worker pool — plus the pivot-count regression: carried
-//! nodes must pivot strictly less (per node) than rebuilt nodes on
-//! Ge-bearing programs, the measured O(m) → O(1) claim of the carry.
+//! Property-based equivalence of the tableau-carry tier: a branch & bound
+//! that answers each child from the parent's carried canonical tableau
+//! must prove the same objective as the cold oracle on random
+//! PC-allocation-shaped MILPs (`max u·x` over `kl ≤ Σ_{i∈S} xᵢ ≤ ku` rows
+//! with `0 ≤ xᵢ ≤ cap`), sequentially, on a pinned 4-worker pool, and
+//! with a chained root tableau — plus the pivot-count regression: carried
+//! nodes must pivot strictly less (per node) than cold-rebuilt nodes on
+//! Ge-bearing programs, the measured saving of the carry.
 //!
 //! Like `vendor/rayon/tests/stress.rs`, this binary pins
 //! `RAYON_NUM_THREADS=4` before anything touches the pool, so the
 //! parallel tests really run on four workers even on a single-core CI
 //! container (more workers than cores = maximum interleaving).
 
-use pc_solver::{solve_milp, ConstraintOp, LinearProgram, MilpOptions, MilpProblem, SolverError};
+use pc_solver::{
+    solve_milp, solve_milp_carried, ConstraintOp, LinearProgram, MilpOptions, MilpProblem,
+    SolverError,
+};
 use proptest::prelude::*;
 use std::sync::Once;
 
@@ -73,7 +76,6 @@ const COLD: MilpOptions = MilpOptions {
     best_effort: false,
     threads: 1,
     warm_start: false,
-    tableau_carry: false,
 };
 
 fn assert_equivalent(
@@ -126,14 +128,18 @@ proptest! {
     }
 
     #[test]
-    fn carry_matches_basis_tier(p in arb_problem()) {
+    fn chained_root_carry_matches_cold(p in arb_problem()) {
         pool4();
+        // Seed the chain with the same rows under the negated objective:
+        // the carried root tableau is then re-priced, not rebuilt.
         let problem = MilpProblem::all_integer(build_lp(&p));
-        let basis = solve_milp(&problem, MilpOptions {
-            threads: 1, tableau_carry: false, ..MilpOptions::default()
-        });
-        let carry = solve_milp(&problem, MilpOptions { threads: 1, ..MilpOptions::default() });
-        assert_equivalent("basis vs carry", &basis, &carry, &problem.lp)?;
+        let mut seed = problem.clone();
+        seed.lp.objective = p.u.iter().map(|v| -v).collect();
+        let opts = MilpOptions { threads: 1, ..MilpOptions::default() };
+        let prior = solve_milp_carried(&seed, opts, None).ok().and_then(|(_, root)| root);
+        let cold = solve_milp(&problem, COLD);
+        let carry = solve_milp_carried(&problem, opts, prior).map(|(sol, _)| sol);
+        assert_equivalent("cold vs chained carry", &cold, &carry, &problem.lp)?;
     }
 }
 
@@ -166,10 +172,10 @@ fn branching_instance(shift: f64) -> MilpProblem {
     MilpProblem::all_integer(lp)
 }
 
-/// The pivot-count regression the ISSUE demands: on Ge-bearing programs,
-/// nodes answered from a carried tableau pivot strictly less (per node)
-/// than nodes that rebuild + crash — the O(m) rebuild elimination,
-/// asserted rather than eyeballed.
+/// The pivot-count regression: on Ge-bearing programs, nodes answered
+/// from a carried tableau pivot strictly less (per node) than nodes that
+/// rebuild cold — the rebuild elimination, asserted rather than
+/// eyeballed.
 #[test]
 fn carried_nodes_pivot_strictly_less_than_rebuilt() {
     pool4();
@@ -178,19 +184,12 @@ fn carried_nodes_pivot_strictly_less_than_rebuilt() {
     for step in 0..4 {
         let problem = branching_instance(f64::from(step) * 0.3);
         let carry = solve_milp(&problem, MilpOptions::default()).expect("solvable");
-        let basis = solve_milp(
-            &problem,
-            MilpOptions {
-                tableau_carry: false,
-                ..MilpOptions::default()
-            },
-        )
-        .expect("solvable");
+        let cold = solve_milp(&problem, COLD).expect("solvable");
         assert!(
-            (carry.objective - basis.objective).abs() < 1e-6,
+            (carry.objective - cold.objective).abs() < 1e-6,
             "objectives must agree: {} vs {}",
             carry.objective,
-            basis.objective
+            cold.objective
         );
         assert!(
             carry.search.carried_nodes > 0,
@@ -198,7 +197,7 @@ fn carried_nodes_pivot_strictly_less_than_rebuilt() {
             carry.search
         );
         carried_avgs.push(carry.search.carried_pivots as f64 / carry.search.carried_nodes as f64);
-        rebuilt_avgs.push(basis.search.rebuilt_pivots as f64 / basis.search.rebuilt_nodes as f64);
+        rebuilt_avgs.push(cold.search.rebuilt_pivots as f64 / cold.search.rebuilt_nodes as f64);
     }
     for (i, (c, r)) in carried_avgs.iter().zip(&rebuilt_avgs).enumerate() {
         assert!(

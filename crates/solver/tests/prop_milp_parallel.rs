@@ -1,7 +1,7 @@
 //! Property-based equivalence of the branch & bound execution modes:
-//! parallel must prove the same objective as sequential, and warm-started
-//! must prove the same objective as cold, on random PC-allocation-shaped
-//! MILPs (`max u·x` over `kl ≤ Σ_{i∈S} xᵢ ≤ ku` rows with `0 ≤ xᵢ ≤ cap`).
+//! every cell of {cold, carry} × {sequential, parallel} must prove the
+//! same objective, on random PC-allocation-shaped MILPs (`max u·x` over
+//! `kl ≤ Σ_{i∈S} xᵢ ≤ ku` rows with `0 ≤ xᵢ ≤ cap`).
 //!
 //! Like `vendor/rayon/tests/stress.rs`, this binary pins
 //! `RAYON_NUM_THREADS=4` before anything touches the pool, so the
@@ -105,29 +105,19 @@ proptest! {
     }
 
     #[test]
-    fn warm_bnb_matches_cold(p in arb_problem()) {
-        pool4();
-        let problem = MilpProblem::all_integer(build_lp(&p));
-        let cold = solve_milp(&problem, MilpOptions {
-            warm_start: false, tableau_carry: false, ..MilpOptions::default()
-        });
-        let warm = solve_milp(&problem, MilpOptions {
-            warm_start: true, tableau_carry: false, ..MilpOptions::default()
-        });
-        assert_equivalent("cold vs warm", &cold, &warm, &problem.lp)?;
-    }
-
-    #[test]
-    fn parallel_warm_matches_sequential_cold(p in arb_problem()) {
+    fn every_mode_matches_sequential_cold(p in arb_problem()) {
         pool4();
         let problem = MilpProblem::all_integer(build_lp(&p));
         let base = solve_milp(&problem, MilpOptions {
-            threads: 1, warm_start: false, tableau_carry: false, ..MilpOptions::default()
+            threads: 1, warm_start: false, ..MilpOptions::default()
         });
-        let fast = solve_milp(&problem, MilpOptions {
-            threads: 0, warm_start: true, tableau_carry: false, ..MilpOptions::default()
-        });
-        assert_equivalent("baseline vs parallel+warm", &base, &fast, &problem.lp)?;
+        for (threads, warm_start) in [(0, false), (1, true), (0, true)] {
+            let got = solve_milp(&problem, MilpOptions {
+                threads, warm_start, ..MilpOptions::default()
+            });
+            let label = format!("seq cold vs threads={threads} warm_start={warm_start}");
+            assert_equivalent(&label, &base, &got, &problem.lp)?;
+        }
     }
 
     #[test]

@@ -80,15 +80,10 @@
 //!   decomposition (A/B baseline for the session layer). `bound` always
 //!   runs cache-less — one query has nothing to amortize, and the
 //!   per-query pushdown decomposition is never larger than the domain's.
-//! * `--no-warm-start` — disable all simplex warm-start chaining
-//!   (within queries, across queries, and inside branch & bound). Warm
-//!   starting is what the tableau carry rides on, so this flag demands
-//!   `--no-tableau-carry` too — the contradictory combination is
-//!   rejected, not silently resolved.
-//! * `--no-tableau-carry` — keep basis-level warm starts but disable the
-//!   deeper tableau-carry tier (carrying whole canonical tableaux into
-//!   branch & bound children, across AVG probes, and across a session's
-//!   queries). A/B knob for the O(1)-pivot carry; never changes results.
+//! * `--no-warm-start` — solve every LP cold: no canonical tableaux
+//!   carried into branch & bound children, across AVG probes, or across
+//!   a session's queries. A/B knob for the O(1)-pivot carry; never
+//!   changes results.
 //! * `--timeout-ms N` / `--sat-cap N` / `--node-cap N` — arm a
 //!   [`QueryBudget`] (wall-clock deadline, SAT-probe cap, branch & bound
 //!   node cap). A tripped budget never errors: the engine degrades
@@ -153,7 +148,6 @@ struct Args {
     per_key_groupby: bool,
     no_session_cache: bool,
     no_warm_start: bool,
-    no_tableau_carry: bool,
     fifo: bool,
     no_admission: bool,
     stats: bool,
@@ -183,7 +177,6 @@ fn parse_args() -> Result<Args, String> {
         per_key_groupby: false,
         no_session_cache: false,
         no_warm_start: false,
-        no_tableau_carry: false,
         fifo: false,
         no_admission: false,
         stats: false,
@@ -234,22 +227,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-session-cache" => args.no_session_cache = true,
             "--no-warm-start" => args.no_warm_start = true,
-            "--no-tableau-carry" => args.no_tableau_carry = true,
             "--fifo" => args.fifo = true,
             "--no-admission" => args.no_admission = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if args.no_warm_start && !args.no_tableau_carry {
-        // Mirror the batch-flag hardening: the tableau carry is the warm
-        // start's deeper tier, so "no warm starts, but keep carrying
-        // tableaux" has no honest reading — demand the explicit pair
-        // instead of silently disabling one side.
-        return Err(
-            "--no-warm-start also disables the tableau carry it rides on; \
-             pass --no-tableau-carry alongside it"
-                .into(),
-        );
     }
     Ok(args)
 }
@@ -261,7 +242,6 @@ fn session_options(args: &Args) -> SessionOptions {
             threads: args.threads,
             shared_group_by: !args.per_key_groupby,
             warm_start: !args.no_warm_start,
-            tableau_carry: !args.no_tableau_carry,
             ..BoundOptions::default()
         },
         cache_cells: !args.no_session_cache,

@@ -103,12 +103,7 @@ fn batch_command_streams_queries_through_one_session() {
          SELECT SUM(price)\n",
     )
     .unwrap();
-    for extra in [
-        &[][..],
-        &["--no-session-cache"],
-        &["--no-tableau-carry"],
-        &["--no-warm-start", "--no-tableau-carry"],
-    ] {
+    for extra in [&[][..], &["--no-session-cache"], &["--no-warm-start"]] {
         let out = pc_bin()
             .args([
                 "batch",
@@ -512,17 +507,6 @@ fn unsupported_flag_combinations_are_rejected() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--query"));
-    // disabling warm starts while leaving the tableau carry on is a
-    // contradiction (the carry rides on warm starts): rejected for every
-    // command, never silently resolved
-    for cmd in ["bound", "batch"] {
-        let out = base(cmd).args(["--no-warm-start"]).output().unwrap();
-        assert!(!out.status.success(), "{cmd} must reject the bare flag");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--no-tableau-carry"),
-            "{cmd} must name the missing flag"
-        );
-    }
 }
 
 #[test]
