@@ -96,4 +96,15 @@ mod tests {
         assert_eq!(t.rows[0][2], t.rows[1][2]);
         assert_eq!(t.rows[0][2], t.rows[2][2]);
     }
+
+    /// Paper-reproduction gate: the exact counts at `Scale::quick()`.
+    /// They count SAT *probes*, not search nodes, so a change to how one
+    /// probe searches must leave them as they are.
+    #[test]
+    fn quick_scale_counts_are_pinned() {
+        let t = run(&Scale::quick());
+        let checks: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
+        assert_eq!(checks, ["16384", "1332", "964"], "naive / DFS / rewrite");
+        assert!(t.rows.iter().all(|r| r[2] == "170"), "{:?}", t.rows);
+    }
 }

@@ -418,9 +418,11 @@ impl Session {
 
     /// One domain-wide decomposition of `epoch`'s catalog — one pool task
     /// per interaction-graph component ([`ShardedCellSet::build`]) — plus
-    /// the closure counterexample cache. Under an armed budget the
-    /// closure probe — potentially the widest SAT query of all — is
-    /// skipped once the budget trips, and the container marked so
+    /// the closure counterexample cache. The closure probe excludes every
+    /// constraint — the widest SAT query of all, though about a
+    /// millisecond on a Corr-PC grid of a few hundred cells. Under an
+    /// armed budget it is skipped once the budget trips, and the
+    /// container marked so
     /// [`ShardedCellSet::closed`] answers "open" (sound) instead of
     /// lying.
     fn build_cells(
@@ -440,8 +442,9 @@ impl Session {
         )?;
         // Cache the closure *counterexample*, not just the verdict: a
         // non-closed epoch would otherwise re-prove non-closure with the
-        // widest SAT query on every bound. Closure is a global question,
-        // probed once across all shards.
+        // widest SAT query (one that excludes every constraint) on every
+        // bound. Closure is a global question, probed once across all
+        // shards.
         let mut closure_skipped = false;
         let uncovered = if !self.options.bound.check_closure {
             None

@@ -4,6 +4,11 @@
 //! over a small discrete grid, `base ∧ ¬ψ₁ ∧ … ∧ ¬ψₖ` is satisfiable iff
 //! some grid point of `base` avoids every `ψⱼ`. On discrete (Int) domains
 //! the grid enumeration is exhaustive, so the oracle is exact.
+//!
+//! The oracle cases stay small (at most 9 exclusions), so the many-box
+//! UNSAT path is also checked on random guillotine tilings: a tiling
+//! covers its box exactly, so it must refute, and every tile must be
+//! load-bearing.
 
 use pc_predicate::{sat, Atom, AttrType, Interval, IntervalSet, Predicate, Region, Schema};
 use proptest::prelude::*;
@@ -58,11 +63,97 @@ fn oracle_sat(base: &Region, negs: &[&Predicate], width: usize) -> bool {
     }
 }
 
+/// Guillotine-tile `[0, 1]²` (Float) by applying `cuts` in order: each
+/// cut `(pick, vertical, at)` splits tile `pick % len` at fraction
+/// `at / 1000` of its width on one axis. The halves share the cut as a
+/// half-open edge, `[a, c)` next to `[c, b]`, so the tiles are disjoint,
+/// non-empty and cover the box exactly.
+fn float_tiling(cuts: &[(usize, bool, u32)]) -> Vec<[Interval; 2]> {
+    let mut tiles = vec![[Interval::closed(0.0, 1.0); 2]];
+    for &(pick, vertical, at) in cuts {
+        let k = pick % tiles.len();
+        let axis = usize::from(vertical);
+        let iv = tiles[k][axis];
+        let c = iv.lo + (iv.hi - iv.lo) * f64::from(at) / 1000.0;
+        if !(iv.lo < c && c < iv.hi) {
+            continue; // the tile is too thin to cut in f64
+        }
+        let mut upper = tiles[k];
+        tiles[k][axis] = Interval::new(iv.lo, iv.lo_open, c, true);
+        upper[axis] = Interval::new(c, false, iv.hi, iv.hi_open);
+        tiles.push(upper);
+    }
+    tiles
+}
+
+/// Guillotine-tile the Int grid `[0, GRID]²` the same way; a tile one
+/// point wide on the cut axis is left whole. Lower halves are written
+/// half-open (`[lo, c)`) and upper halves closed (`[c, hi]`), as a
+/// Corr-PC grid writes its buckets.
+fn int_tiling(cuts: &[(usize, bool, u32)]) -> Vec<[Interval; 2]> {
+    let g = GRID as f64;
+    let mut tiles = vec![[Interval::closed(0.0, g); 2]];
+    for &(pick, vertical, at) in cuts {
+        let k = pick % tiles.len();
+        let axis = usize::from(vertical);
+        let iv = tiles[k][axis].normalize(AttrType::Int);
+        if iv.hi <= iv.lo {
+            continue;
+        }
+        // an integer cut point in (lo, hi]
+        let c = iv.lo + 1.0 + f64::from(at % (iv.hi - iv.lo) as u32);
+        let mut upper = tiles[k];
+        tiles[k][axis] = Interval::half_open(iv.lo, c);
+        upper[axis] = Interval::closed(c, iv.hi);
+        tiles.push(upper);
+    }
+    tiles
+}
+
+fn tile_predicate(tile: &[Interval; 2]) -> Predicate {
+    Predicate::new(vec![Atom::new(0, tile[0]), Atom::new(1, tile[1])])
+}
+
+/// The tiling properties: the full tiling is UNSAT, dropping tile `drop`
+/// leaves a witness inside exactly that tile, and the sequential and
+/// parallel searches agree on both verdicts.
+fn check_tiling(base: &Region, tiles: &[[Interval; 2]], drop: usize) -> Result<(), TestCaseError> {
+    let preds: Vec<Predicate> = tiles.iter().map(tile_predicate).collect();
+    let all: Vec<&Predicate> = preds.iter().collect();
+    prop_assert!(
+        sat::find_witness(base, &all).is_none(),
+        "a tiling must refute"
+    );
+    prop_assert!(
+        sat::find_witness_with(base, &all, true).is_none(),
+        "the parallel search must refute a tiling too"
+    );
+    let dropped = drop % preds.len();
+    let rest: Vec<&Predicate> = all
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| (i != dropped).then_some(*p))
+        .collect();
+    for w in [
+        sat::find_witness(base, &rest),
+        sat::find_witness_with(base, &rest, true),
+    ] {
+        let w = w.ok_or_else(|| TestCaseError::fail("dropping a tile must open a hole"))?;
+        prop_assert!(base.contains_row(&w));
+        prop_assert!(
+            preds[dropped].eval(&w),
+            "witness {:?} lies outside the dropped tile",
+            w
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn sat_matches_grid_oracle(
         base_pred in arb_predicate(2),
-        negs in prop::collection::vec(arb_predicate(2), 0..4)
+        negs in prop::collection::vec(arb_predicate(2), 0..10)
     ) {
         let schema = int_schema(2);
         let mut base = base_pred.to_region(&schema);
@@ -115,6 +206,34 @@ proptest! {
                 prop_assert!(!p.eval(&w), "parallel witness satisfies an excluded predicate");
             }
         }
+    }
+
+    /// Random guillotine tilings of a Float box refute; every tile is
+    /// needed for that.
+    #[test]
+    fn float_tilings_refute_and_each_tile_is_needed(
+        cuts in prop::collection::vec((0usize..64, any::<bool>(), 1u32..1000), 0..40),
+        drop in 0usize..64
+    ) {
+        let schema = Schema::new(vec![("x", AttrType::Float), ("y", AttrType::Float)]);
+        let mut base = Region::full(&schema);
+        base.intersect_atom(&Atom::between(0, 0.0, 1.0));
+        base.intersect_atom(&Atom::between(1, 0.0, 1.0));
+        check_tiling(&base, &float_tiling(&cuts), drop)?;
+    }
+
+    /// The same over the Int grid, where open and closed endpoints
+    /// snap to the integer lattice.
+    #[test]
+    fn int_tilings_refute_and_each_tile_is_needed(
+        cuts in prop::collection::vec((0usize..64, any::<bool>(), 0u32..64), 0..40),
+        drop in 0usize..64
+    ) {
+        let schema = int_schema(2);
+        let mut base = Region::full(&schema);
+        base.intersect_atom(&Atom::between(0, 0.0, GRID as f64));
+        base.intersect_atom(&Atom::between(1, 0.0, GRID as f64));
+        check_tiling(&base, &int_tiling(&cuts), drop)?;
     }
 
     #[test]
