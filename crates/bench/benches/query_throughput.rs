@@ -15,6 +15,11 @@
 //!   default tableau carry, so structurally repeating LPs re-price one
 //!   carried canonical tableau across queries. The serve path `pc batch`
 //!   uses.
+//! * `fragmented` — a session over a Corr-PC-style grid churned into
+//!   many interaction shards (an overlapping box added, a grid cell
+//!   retired), serving small regions that touch a few shards each: the
+//!   cost of a fragmented catalog, which should scale with the shards a
+//!   query touches rather than with the catalog.
 //!
 //! Every mode is asserted (outside the timed region) to produce
 //! identical ranges, so the bench only ever compares equal work; each
@@ -226,7 +231,145 @@ fn bench_query_throughput(c: &mut Criterion) {
             },
         );
     }
+
+    // A fragmented catalog: the churned grid serves small regions. Checked
+    // outside the timed region against an unsharded session churned the
+    // same way.
+    let side = 12;
+    let queries = grid_queries(side, 24);
+    let session = fragmented_session(side, opts);
+    let flat = fragmented_session(
+        side,
+        BoundOptions {
+            shard: false,
+            ..opts
+        },
+    );
+    let shards = session
+        .sharded_cell_set()
+        .expect("decomposable grid")
+        .shards()
+        .len();
+    assert!(
+        shards > side * side / 2,
+        "the churned grid fragments: {shards} shards"
+    );
+    emit_bench_json_line(&format!(
+        "{{\"id\": \"serve_shape/fragmented/{}cells\", \"shards\": {shards}}}",
+        side * side
+    ));
+    for q in &queries {
+        let (served, oracle) = (
+            session.bound(q).expect("bounded workload").range,
+            flat.bound(q).expect("bounded workload").range,
+        );
+        assert!(
+            close(served.lo, oracle.lo) && close(served.hi, oracle.hi),
+            "fragmented mismatch on {q:?}: {served:?} vs {oracle:?}"
+        );
+    }
+    group.bench_with_input(
+        criterion::BenchmarkId::new("fragmented", format!("{}cells", side * side)),
+        &queries,
+        |b, qs| {
+            b.iter(|| {
+                for q in qs {
+                    session.bound(q).expect("bounded workload");
+                }
+            })
+        },
+    );
     group.finish();
+}
+
+/// A Corr-PC-style grid over `(x, y)`: `side × side` disjoint cells of
+/// width 2, each with exact row counts and a value range on `v`, hinted
+/// disjoint like `pc_datagen::pcgen::corr_pc`.
+fn grid_set(side: usize) -> PcSet {
+    let schema = Schema::new(vec![
+        ("x", AttrType::Int),
+        ("y", AttrType::Int),
+        ("v", AttrType::Float),
+    ]);
+    let mut set = PcSet::new(schema);
+    for i in 0..side * side {
+        let (cx, cy) = ((2 * (i % side)) as f64, (2 * (i / side)) as f64);
+        let vlo = (i * 13 % 50) as f64;
+        set.push(PredicateConstraint::new(
+            Predicate::always()
+                .and(Atom::between(0, cx, cx + 1.0))
+                .and(Atom::between(1, cy, cy + 1.0)),
+            ValueConstraint::none().with(2, Interval::closed(vlo, vlo + 20.0)),
+            FrequencyConstraint::exactly(1 + (i % 4) as u64),
+        ));
+    }
+    let edge = (2 * side - 1) as f64;
+    let mut domain = Region::full(set.schema());
+    domain.set_interval(0, Interval::closed(0.0, edge));
+    domain.set_interval(1, Interval::closed(0.0, edge));
+    domain.set_interval(2, Interval::closed(0.0, 100.0));
+    set.set_domain(domain);
+    set.set_disjoint_hint(true);
+    set
+}
+
+/// An unforced box over grid coordinates `[x0, x1] × [y0, y1]`, crossing
+/// the grid cells it overlaps.
+fn grid_cap(x0: f64, x1: f64, y0: f64, y1: f64) -> PredicateConstraint {
+    PredicateConstraint::new(
+        Predicate::always()
+            .and(Atom::between(0, x0, x1))
+            .and(Atom::between(1, y0, y1)),
+        ValueConstraint::none().with(2, Interval::closed(0.0, 100.0)),
+        FrequencyConstraint::at_most(30),
+    )
+}
+
+/// [`grid_set`] churned the way `churn_corrpc` churns Corr-PC: an
+/// overlapping box is added (the grid's single hinted shard absorbs it),
+/// a grid cell is retired (the shard fragments into its interaction
+/// components), and a second box is added and replaced.
+fn fragmented_session(side: usize, bound: BoundOptions) -> Session {
+    let session = Session::with_options(
+        grid_set(side),
+        SessionOptions {
+            bound,
+            ..SessionOptions::default()
+        },
+    );
+    session.sharded_cell_set().expect("decomposable grid");
+    session.add_constraint(grid_cap(3.0, 8.0, 3.0, 8.0));
+    let first = session.constraint_ids()[0];
+    session.retire_constraint(first).expect("live id");
+    let boxed = session.add_constraint(grid_cap(12.0, 16.0, 1.0, 6.0));
+    session
+        .replace_constraint(boxed, grid_cap(13.0, 18.0, 14.0, 19.0))
+        .expect("live id");
+    session
+}
+
+/// Small regions (one to four grid cells) cycling through the five
+/// aggregates.
+fn grid_queries(side: usize, count: usize) -> Vec<AggQuery> {
+    let span = 2 * side;
+    (0..count)
+        .map(|i| {
+            let x = (i * 7 % (span - 3)) as f64;
+            let y = (i * 11 % (span - 3)) as f64;
+            let w = 1.0 + (i % 3) as f64;
+            let predicate = Predicate::always()
+                .and(Atom::between(0, x, x + w))
+                .and(Atom::between(1, y, y + w));
+            let agg = [
+                AggKind::Count,
+                AggKind::Sum,
+                AggKind::Min,
+                AggKind::Max,
+                AggKind::Avg,
+            ][i % 5];
+            AggQuery::new(agg, 2, predicate)
+        })
+        .collect()
 }
 
 /// Extra constraints the churn script admits and retires: wide caps whose

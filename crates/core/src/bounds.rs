@@ -243,8 +243,9 @@ pub struct BoundReport {
     pub degraded: bool,
     /// Per-shard SAT-check counts when the call routed through the
     /// sharded path ([`BoundOptions::shard`], [`crate::shard`]), in shard
-    /// order — the skew profile of the factored decomposition. Empty on
-    /// the flat paths.
+    /// order — the skew profile of the factored decomposition. One entry
+    /// per shard of the whole catalog: a shard the query region misses is
+    /// skipped and reports 0. Empty on the flat paths.
     pub shard_sat_checks: Vec<u64>,
     /// Why the budget tripped, when [`BoundReport::degraded`] is set and
     /// the cause is known: the budget's sticky first-trip record, or
@@ -407,7 +408,10 @@ pub(crate) struct CellProblem {
     /// Per-cell allocation cap (min `ku` of active constraints; 0 if the
     /// cell is value-infeasible).
     cap: Vec<f64>,
-    /// Per constraint: `(kl_eff, ku, member cell indices)`.
+    /// Per constraint: `(kl_eff, ku, member cell indices)`, indexed by
+    /// constraint. A constraint of a shard the query misses gets the
+    /// placeholder `(0, ku, [])`: it holds no cell and forces no row, so
+    /// every bound skips it.
     pc_rows: Vec<(f64, f64, Vec<usize>)>,
     /// Per-cell branch weights for the allocation MILP's
     /// estimate-guided branching ([`BoundOptions::ordering`]), in
@@ -435,7 +439,7 @@ pub(crate) struct CellProblem {
     degraded: StdCell<bool>,
 }
 
-/// One shard's contribution to a sharded bounding call (see
+/// One touched shard's contribution to a sharded bounding call (see
 /// [`BoundEngine::bound_sharded`]): the shard's constraints as their own
 /// set (local indices), the member table back into the global set, the
 /// cells relevant to this query, and the work newly charged producing
@@ -447,6 +451,20 @@ pub(crate) struct ShardSlice {
     pub(crate) cells: Vec<Cell>,
     pub(crate) stats: DecomposeStats,
     pub(crate) cache: Option<Arc<crate::shard::Shard>>,
+}
+
+/// One shard's part in a sharded bounding call, in shard order.
+pub(crate) enum ShardPart {
+    /// The query region meets some member box.
+    Touched(ShardSlice),
+    /// The query region misses every member box. The shard gets no slice,
+    /// no sub-engine and no frequency rows; only its size (for the report)
+    /// and its query-independent infeasibility flag
+    /// ([`crate::shard::Shard::infeasible`]) remain.
+    Missed {
+        constraints: usize,
+        infeasible: bool,
+    },
 }
 
 impl CellProblem {
@@ -572,9 +590,9 @@ impl<'a> BoundEngine<'a> {
 
     /// One-shot sharded bound: decompose each interaction-graph component
     /// independently (parallel pool tasks, shared budget) against the
-    /// query region, then recombine. Components the region doesn't touch
-    /// skip decomposition entirely — their constraints' frequency rows
-    /// behave identically over zero member cells.
+    /// query region, then recombine. A component the region doesn't touch
+    /// gets no sub-set and no decomposition, only its infeasibility flag
+    /// (see [`ShardPart::Missed`]).
     fn bound_sharded_oneshot(
         &self,
         query: &AggQuery,
@@ -599,13 +617,14 @@ impl<'a> BoundEngine<'a> {
         };
 
         let boxes = crate::shard::constraint_boxes(self.set);
-        let inputs: Vec<(Arc<PcSet>, Vec<usize>, bool)> = components
-            .into_iter()
-            .map(|members| {
-                let touched = members.iter().any(|&m| boxes[m].overlaps(&base));
-                let sub = Arc::new(crate::shard::sub_set(self.set, &members));
-                (sub, members, touched)
-            })
+        let touched: Vec<bool> = components
+            .iter()
+            .map(|members| members.iter().any(|&m| boxes[m].overlaps(&base)))
+            .collect();
+        let inputs: Vec<&Vec<usize>> = components
+            .iter()
+            .zip(&touched)
+            .filter_map(|(members, &t)| t.then_some(members))
             .collect();
         let threads = self.task_threads(inputs.len());
         let options = self.options;
@@ -613,38 +632,40 @@ impl<'a> BoundEngine<'a> {
         // per-shard split ordering works from (and feeds back into) the
         // shared survival counters.
         let estimates = self.options.ordering.then(|| Arc::clone(self.estimates()));
-        let built = pooled_map_catch(&inputs, threads, &|(sub, members, touched): &(
-            Arc<PcSet>,
-            Vec<usize>,
-            bool,
-        )| {
-            let (cells, stats) = if *touched {
-                let engine = BoundEngine::with_options(sub, options);
-                if let Some(est) = &estimates {
-                    engine.set_estimates(Arc::new(est.restrict(members)));
-                }
-                engine.cells_for_base_budgeted(&base, budget)?
-            } else {
-                (Vec::new(), DecomposeStats::default())
-            };
+        let built = pooled_map_catch(&inputs, threads, &|members: &&Vec<usize>| {
+            let sub = Arc::new(crate::shard::sub_set(self.set, members));
+            let engine = BoundEngine::with_options(&sub, options);
+            if let Some(est) = &estimates {
+                engine.set_estimates(Arc::new(est.restrict(members)));
+            }
+            let (cells, stats) = engine.cells_for_base_budgeted(&base, budget)?;
             Ok::<ShardSlice, BoundError>(ShardSlice {
-                sub: Arc::clone(sub),
-                members: members.clone(),
+                sub: Arc::clone(&sub),
+                members: members.to_vec(),
                 cells,
                 stats,
                 cache: None,
             })
         });
-        let mut slices = Vec::with_capacity(built.len());
-        for result in built {
-            slices.push(result.ok_or(BoundError::Panicked)??);
+        let mut built = built.into_iter();
+        let mut parts = Vec::with_capacity(components.len());
+        for (members, t) in components.iter().zip(touched) {
+            parts.push(if t {
+                let slice = built.next().expect("one result per touched shard");
+                ShardPart::Touched(slice.ok_or(BoundError::Panicked)??)
+            } else {
+                ShardPart::Missed {
+                    constraints: members.len(),
+                    infeasible: crate::shard::any_stranded(self.set, members),
+                }
+            });
         }
         self.bound_sharded(
             query,
             &base,
             closed,
             skipped_closure,
-            slices,
+            parts,
             DecomposeStats::default(),
             warm,
             budget,
@@ -652,13 +673,23 @@ impl<'a> BoundEngine<'a> {
     }
 
     /// Recombine per-shard cells into the query's bound. `COUNT`/`SUM`
-    /// solve one block of the block-diagonal allocation MILP per shard
-    /// and add the intervals (with per-shard domain-wide caching);
-    /// `MIN`/`MAX`/`AVG` concatenate the shard cells — by the factoring
-    /// theorem exactly the flat cell set — and reuse the flat per-cell
-    /// summaries (the AVG probe's `Σxᵢ ≥ 1` row couples every shard, so
-    /// its binary search runs joint). `base_stats` carries the
-    /// container's counters when the cells came from a session cache.
+    /// solve one block of the block-diagonal allocation MILP per touched
+    /// shard and add the intervals (with per-shard domain-wide caching);
+    /// `MIN`/`MAX`/`AVG` concatenate the touched shards' cells — by the
+    /// factoring theorem exactly the flat cells inside the region — and
+    /// reuse the flat per-cell summaries (the AVG probe's `Σxᵢ ≥ 1` row
+    /// couples every shard, so its binary search runs joint).
+    ///
+    /// A shard the region misses ([`ShardPart::Missed`]) costs nothing:
+    /// no slice, no sub-problem, and no frequency rows in the joint
+    /// problem. Its rows would hold no cell and relax to `kl = 0`, which
+    /// the allocation skips, unless a stranded member makes the query
+    /// infeasible; its flag raises that error where the row would have.
+    /// The report still describes the whole catalog: `stats.shards` and
+    /// `stats.max_shard_constraints` count every shard, and
+    /// `shard_sat_checks` has one entry per shard in shard order, 0 for
+    /// the missed ones. `base_stats` carries the container's counters
+    /// when the cells came from a session cache.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn bound_sharded(
         &self,
@@ -666,19 +697,35 @@ impl<'a> BoundEngine<'a> {
         base: &Region,
         closed: bool,
         skipped_closure: bool,
-        slices: Vec<ShardSlice>,
+        parts: Vec<ShardPart>,
         base_stats: DecomposeStats,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<BoundReport, BoundError> {
         let mut stats = base_stats;
-        let shard_sat_checks: Vec<u64> = slices.iter().map(|s| s.stats.sat_checks).collect();
-        for slice in &slices {
-            stats.absorb(&slice.stats);
+        let mut shard_sat_checks = Vec::with_capacity(parts.len());
+        let (mut cells, mut widest, mut stranded) = (0, 0, false);
+        for part in &parts {
+            match part {
+                ShardPart::Touched(slice) => {
+                    shard_sat_checks.push(slice.stats.sat_checks);
+                    stats.absorb(&slice.stats);
+                    cells += slice.cells.len();
+                    widest = widest.max(slice.sub.len());
+                }
+                ShardPart::Missed {
+                    constraints,
+                    infeasible,
+                } => {
+                    shard_sat_checks.push(0);
+                    widest = widest.max(*constraints);
+                    stranded |= infeasible;
+                }
+            }
         }
-        stats.cells = slices.iter().map(|s| s.cells.len()).sum();
-        stats.shards = slices.len();
-        stats.max_shard_constraints = slices.iter().map(|s| s.sub.len()).max().unwrap_or(0);
+        stats.cells = cells;
+        stats.shards = parts.len();
+        stats.max_shard_constraints = widest;
 
         match query.agg {
             AggKind::Count | AggKind::Sum => self.combine_additive(
@@ -686,7 +733,7 @@ impl<'a> BoundEngine<'a> {
                 base,
                 closed,
                 skipped_closure,
-                slices,
+                parts,
                 stats,
                 shard_sat_checks,
                 warm,
@@ -694,7 +741,14 @@ impl<'a> BoundEngine<'a> {
             ),
             AggKind::Min | AggKind::Max | AggKind::Avg => {
                 let mut cells = Vec::with_capacity(stats.cells);
-                for slice in &slices {
+                let mut rows = vec![false; self.set.len()];
+                for part in &parts {
+                    let ShardPart::Touched(slice) = part else {
+                        continue;
+                    };
+                    for &m in &slice.members {
+                        rows[m] = true;
+                    }
                     for cell in &slice.cells {
                         cells.push(Cell {
                             region: Arc::clone(&cell.region),
@@ -704,8 +758,18 @@ impl<'a> BoundEngine<'a> {
                         });
                     }
                 }
+                if stranded {
+                    return Err(BoundError::Infeasible);
+                }
                 let p = self.problem_from_cells_budgeted(
-                    query.attr, base, cells, stats, closed, warm, budget,
+                    query.attr,
+                    base,
+                    cells,
+                    stats,
+                    closed,
+                    Some(&rows),
+                    warm,
+                    budget,
                 )?;
                 if skipped_closure {
                     p.degraded.set(true);
@@ -720,9 +784,9 @@ impl<'a> BoundEngine<'a> {
     /// The `COUNT`/`SUM` side of [`BoundEngine::bound_sharded`]: no
     /// frequency row spans two shards, so the allocation MILP is
     /// block-diagonal and the global optimum is the sum of per-shard
-    /// optima. A shard whose slice carries its cache handle (query region
-    /// ⊇ every member box) serves or refills the query-independent
-    /// domain-wide interval.
+    /// optima. A missed shard adds 0. A shard whose slice carries its
+    /// cache handle (query region ⊇ every member box) serves or refills
+    /// the query-independent domain-wide interval.
     #[allow(clippy::too_many_arguments)]
     fn combine_additive(
         &self,
@@ -730,7 +794,7 @@ impl<'a> BoundEngine<'a> {
         base: &Region,
         closed: bool,
         skipped_closure: bool,
-        slices: Vec<ShardSlice>,
+        parts: Vec<ShardPart>,
         stats: DecomposeStats,
         shard_sat_checks: Vec<u64>,
         warm: Option<WarmCache>,
@@ -762,7 +826,20 @@ impl<'a> BoundEngine<'a> {
         let mut hi = 0.0;
         let mut work = LpWork::default();
         let mut degraded = base_degraded;
-        for slice in slices {
+        for part in parts {
+            let slice = match part {
+                ShardPart::Touched(slice) => slice,
+                ShardPart::Missed {
+                    infeasible: true, ..
+                } => return Err(BoundError::Infeasible),
+                ShardPart::Missed { .. } => {
+                    // A batch shares its budget, so it may have tripped
+                    // since the combine began: report that as a touched
+                    // shard's sub-problem does.
+                    degraded |= budget.is_tripped();
+                    continue;
+                }
+            };
             if let Some(shard) = &slice.cache {
                 if let Some((slo, shi)) = shard.cached_summary(tag, query.attr) {
                     lo += slo;
@@ -784,6 +861,7 @@ impl<'a> BoundEngine<'a> {
                 slice.cells,
                 slice.stats,
                 true,
+                None,
                 warm.clone(),
                 budget,
             )?;
@@ -975,8 +1053,9 @@ impl<'a> BoundEngine<'a> {
         };
 
         let (cells, stats) = self.cells_for_base_budgeted(&base, budget)?;
-        let problem =
-            self.problem_from_cells_budgeted(query.attr, &base, cells, stats, closed, warm, budget);
+        let problem = self.problem_from_cells_budgeted(
+            query.attr, &base, cells, stats, closed, None, warm, budget,
+        );
         if skipped_closure {
             if let Ok(p) = &problem {
                 p.degraded.set(true);
@@ -1005,6 +1084,7 @@ impl<'a> BoundEngine<'a> {
             cells,
             stats,
             closed,
+            None,
             warm,
             &QueryBudget::unlimited(),
         )
@@ -1013,6 +1093,12 @@ impl<'a> BoundEngine<'a> {
     /// `problem_from_cells` carrying the query's budget. Frontier cells
     /// (budget-tripped decompositions) get conservative treatment — see
     /// the inline comments for the soundness argument of each rule.
+    ///
+    /// `rows`, when given, marks the constraints whose frequency rows to
+    /// build (the members of the shards the query touches). Every other
+    /// constraint gets the empty placeholder row; the caller has already
+    /// raised the error a stranded one would cause (see
+    /// [`ShardPart::Missed`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn problem_from_cells_budgeted(
         &self,
@@ -1021,6 +1107,7 @@ impl<'a> BoundEngine<'a> {
         cells: Vec<Cell>,
         stats: DecomposeStats,
         closed: bool,
+        rows: Option<&[bool]>,
         warm: Option<WarmCache>,
         budget: &QueryBudget,
     ) -> Result<CellProblem, BoundError> {
@@ -1092,6 +1179,10 @@ impl<'a> BoundEngine<'a> {
         // Per-constraint frequency rows with pushdown-safe lower bounds.
         let mut pc_rows = Vec::with_capacity(self.set.len());
         for (j, pc) in self.set.constraints().iter().enumerate() {
+            if rows.is_some_and(|rows| !rows[j]) {
+                pc_rows.push((0.0, pc.frequency.hi as f64, Vec::new()));
+                continue;
+            }
             // Frontier membership is conservative: a cell belongs to row
             // `j` only when `j` is *active* in it. Rows hiding in a
             // frontier cell that would satisfy `j` are then missing from

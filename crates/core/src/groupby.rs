@@ -453,7 +453,7 @@ impl BoundEngine<'_> {
             stats.cells = cells.len();
             let closed = !self.options.check_closure || base_closed;
             let problem = self.problem_from_cells_budgeted(
-                base.attr, &slice, cells, stats, closed, warm, budget,
+                base.attr, &slice, cells, stats, closed, None, warm, budget,
             )?;
             return self.bound_problem(base.agg, &problem);
         }
@@ -555,8 +555,9 @@ impl BoundEngine<'_> {
         } else {
             self.set.is_closed_within_with(&slice, self.par_witness())
         };
-        let problem = self
-            .problem_from_cells_budgeted(base.attr, &slice, cells, stats, closed, warm, budget)?;
+        let problem = self.problem_from_cells_budgeted(
+            base.attr, &slice, cells, stats, closed, None, warm, budget,
+        )?;
         self.bound_problem(base.agg, &problem)
     }
 }

@@ -116,7 +116,7 @@
 //! stream, and the `query_throughput` bench records the
 //! incremental-vs-rebuild ablation to `BENCH_serve.json`.
 
-use crate::bounds::{pooled_map_catch, ShardSlice, WarmCache, WarmCaches};
+use crate::bounds::{pooled_map_catch, ShardPart, ShardSlice, WarmCache, WarmCaches};
 use crate::decompose::DecomposeStats;
 use crate::estimate::Estimates;
 use crate::shard::ShardedCellSet;
@@ -1070,25 +1070,23 @@ impl Session {
 
             let closed = self.closed_within(&sharded, set, &target, &engine, budget);
             let problem = engine.problem_from_cells_budgeted(
-                query.attr, &target, cells, stats, closed, warm, budget,
+                query.attr, &target, cells, stats, closed, None, warm, budget,
             )?;
             return engine.bound_problem(query.agg, &problem);
         }
 
         // Compositional serve: only shards whose boxes the query region
-        // touches pay specialization; an untouched shard contributes an
-        // empty slice (no satisfiable cell of it meets the region), and a
-        // shard wholly *inside* the region shares its domain-wide cells
-        // verbatim — offering its cached per-aggregate summary too.
-        let mut slices = Vec::with_capacity(sharded.shards().len());
+        // touches pay specialization; an untouched shard contributes only
+        // its size and infeasibility flag (no satisfiable cell of it meets
+        // the region), and a shard wholly *inside* the region shares its
+        // domain-wide cells verbatim — offering its cached per-aggregate
+        // summary too.
+        let mut parts = Vec::with_capacity(sharded.shards().len());
         for shard in sharded.shards() {
             if !shard.touches(&target) {
-                slices.push(ShardSlice {
-                    sub: Arc::clone(shard.set()),
-                    members: shard.members().to_vec(),
-                    cells: Vec::new(),
-                    stats: DecomposeStats::default(),
-                    cache: None,
+                parts.push(ShardPart::Missed {
+                    constraints: shard.members().len(),
+                    infeasible: shard.infeasible(),
                 });
                 continue;
             }
@@ -1107,13 +1105,13 @@ impl Session {
                     budget,
                 )
             };
-            slices.push(ShardSlice {
+            parts.push(ShardPart::Touched(ShardSlice {
                 sub: Arc::clone(shard.set()),
                 members: shard.members().to_vec(),
                 cells,
                 stats: slice_stats,
                 cache: contained.then(|| Arc::clone(shard)),
-            });
+            }));
         }
         let closed = self.closed_within(&sharded, set, &target, &engine, budget);
         engine.bound_sharded(
@@ -1121,7 +1119,7 @@ impl Session {
             &target,
             closed,
             false,
-            slices,
+            parts,
             sharded.stats(),
             warm,
             budget,

@@ -36,7 +36,12 @@
 //! specializes the shards it geometrically touches; a shard fully inside
 //! the query region contributes its cached domain-wide `COUNT`/`SUM`
 //! interval verbatim ([`Shard`] caches it), and a shard disjoint from the
-//! region contributes nothing but its frequency rows.
+//! region contributes nothing: no cells, no sub-problem, no frequency
+//! rows. Its rows would be `(0, ku, [])`, which the allocation skips, so
+//! dropping them moves no bound. The one exception is a member that forces
+//! rows into an empty allowed region; it makes every query infeasible, so
+//! each [`Shard`] records that once ([`Shard::infeasible`]) and a query
+//! that misses the shard checks the flag instead.
 //!
 //! # Skew-aware re-splitting
 //!
@@ -192,6 +197,11 @@ pub fn interaction_components(set: &PcSet) -> Vec<Vec<usize>> {
 /// (local indices follow [`Shard::members`] order) with an independently
 /// decomposed [`CellSet`], plus a cache of domain-wide `COUNT`/`SUM`
 /// intervals reused verbatim by queries that contain the whole shard.
+///
+/// A query whose region misses every member box gets nothing from the
+/// shard: no slice, no sub-engine, no estimate restriction and no
+/// frequency row. All such a query still needs is [`Shard::infeasible`],
+/// computed once when the shard is built or derived.
 pub struct Shard {
     /// Global constraint indices of the members, in local-index order.
     members: Vec<usize>,
@@ -202,6 +212,8 @@ pub struct Shard {
     sub: Arc<PcSet>,
     /// The shard's decomposition over the container base, local indices.
     cells: Arc<CellSet>,
+    /// Some member is stranded ([`any_stranded`]); see [`Shard::infeasible`].
+    infeasible: bool,
     /// Domain-wide per-aggregate intervals, keyed by `(agg tag, attr)`.
     /// Only clean (non-degraded, feasible) results are stored; entries are
     /// exact for any query region containing every member box.
@@ -223,6 +235,16 @@ impl Shard {
     /// The shard's decomposition (cells carry local indices).
     pub fn cells(&self) -> &Arc<CellSet> {
         &self.cells
+    }
+
+    /// Whether some member forces rows (`kl ≥ 1`) into an allowed region
+    /// that misses the domain. Such a constraint has no cell to put them
+    /// in, whatever the query region, so any query that misses this shard
+    /// still fails with [`BoundError::Infeasible`] at the point where the
+    /// member's frequency row would have been built. The flag does not
+    /// depend on the query.
+    pub fn infeasible(&self) -> bool {
+        self.infeasible
     }
 
     /// Whether any member box overlaps `region` — i.e. whether a query on
@@ -258,6 +280,25 @@ pub(crate) fn sub_set(set: &PcSet, members: &[usize]) -> PcSet {
     }
     sub.set_disjoint_hint(set.disjoint_hint());
     sub
+}
+
+/// Whether some constraint of `members` (global indices into `set`) is
+/// *stranded*: it forces rows (`kl ≥ 1`) but its allowed region
+/// (predicate ∩ value ranges) is empty within the domain. A query region
+/// that misses the constraint's box holds none of its cells, and the
+/// empty allowed region lies trivially inside the query region, so the
+/// frequency row demands `kl` rows of zero capacity: `Infeasible`. A
+/// non-empty allowed region lies inside the box, so a query region that
+/// misses the box cannot contain it and the row relaxes to `kl = 0`.
+pub(crate) fn any_stranded(set: &PcSet, members: &[usize]) -> bool {
+    members.iter().any(|&m| {
+        let pc = &set.constraints()[m];
+        pc.frequency.lo >= 1 && {
+            let mut allowed = pc.allowed_region(set.schema());
+            allowed.intersect(set.domain());
+            allowed.is_empty()
+        }
+    })
 }
 
 /// Re-order a heavy shard's members along quantile boundaries of their
@@ -332,6 +373,12 @@ fn skew_reorder(members: &mut [usize], all_boxes: &[Region]) {
 /// [`CellSet`] per connected component of the constraint-interaction
 /// graph, plus the global closure verdict. See the module docs for why
 /// the per-shard cells are exactly a partition of the flat cells.
+///
+/// A query pays only for the shards its region touches: a shard whose
+/// member boxes all miss the region gets no slice, no sub-engine, no
+/// estimate restriction and no frequency row, only a check of its
+/// [`Shard::infeasible`] flag. Every constructor (build, add, retire)
+/// sets that flag on each shard it makes.
 pub struct ShardedCellSet {
     /// The region everything was decomposed against (the domain, for
     /// session epochs).
@@ -580,6 +627,7 @@ impl ShardedCellSet {
                 ));
                 shards.push(Arc::new(Shard {
                     boxes: vec![new_box],
+                    infeasible: any_stranded(new_set, &[n]),
                     members,
                     sub,
                     cells,
@@ -612,6 +660,7 @@ impl ShardedCellSet {
                     boxes,
                     sub,
                     cells: Arc::new(derived),
+                    infeasible: shard.infeasible || any_stranded(new_set, &[n]),
                     summary: Mutex::new(HashMap::new()),
                 });
             }
@@ -682,6 +731,7 @@ impl ShardedCellSet {
                     boxes: shard.boxes.clone(),
                     sub: Arc::clone(&shard.sub),
                     cells: Arc::clone(&shard.cells),
+                    infeasible: shard.infeasible,
                     summary: Mutex::new(
                         shard
                             .summary
@@ -713,6 +763,7 @@ impl ShardedCellSet {
             };
             if fragments.len() <= 1 {
                 shards.push(Arc::new(Shard {
+                    infeasible: shard.infeasible && any_stranded(new_set, &members),
                     members,
                     boxes,
                     sub: Arc::new(sub),
@@ -758,6 +809,7 @@ impl ShardedCellSet {
                     None,
                 ));
                 shards.push(Arc::new(Shard {
+                    infeasible: shard.infeasible && any_stranded(new_set, &f_members),
                     members: f_members,
                     boxes: f_boxes,
                     sub: f_sub,
@@ -801,6 +853,7 @@ fn build_shard(
     stats.cells = cells.len();
     let cells = Arc::new(CellSet::new(&sub, base.clone(), cells, stats, None));
     Ok(Arc::new(Shard {
+        infeasible: any_stranded(set, &members),
         members,
         boxes,
         sub,

@@ -119,9 +119,16 @@ impl Region {
             .all(|((a, b), ty)| a.contains_interval(b, *ty))
     }
 
-    /// True if the boxes share at least one point.
+    /// True if the boxes share at least one point: every attribute's
+    /// interval intersection is non-empty for its type. Checked in place,
+    /// without building the intersection region.
     pub fn overlaps(&self, other: &Region) -> bool {
-        !self.intersected(other).is_empty()
+        debug_assert_eq!(self.width(), other.width());
+        self.intervals
+            .iter()
+            .zip(&other.intervals)
+            .zip(&self.types)
+            .all(|((a, b), ty)| !a.intersect(b).is_empty(*ty))
     }
 
     /// A representative point of the region, if non-empty. Serves as a
@@ -211,6 +218,55 @@ mod tests {
         let mut disjoint = Region::full(&s);
         disjoint.intersect_atom(&Atom::between(2, 200.0, 300.0));
         assert!(!big.overlaps(&disjoint));
+    }
+
+    #[test]
+    fn overlaps_matches_the_intersection() {
+        // every interval over the endpoints {-1, 0, 0.5, 1, 2, ±∞} with
+        // either openness, inverted (empty) ones included
+        let ends = [f64::NEG_INFINITY, -1.0, 0.0, 0.5, 1.0, 2.0, f64::INFINITY];
+        let mut ivs = vec![Interval::EMPTY, Interval::FULL];
+        for &lo in &ends {
+            for &hi in &ends {
+                for (lo_open, hi_open) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    ivs.push(Interval::new(lo, lo_open, hi, hi_open));
+                }
+            }
+        }
+        // the second attribute: overlapping, disjoint, or empty on one side
+        let others = [
+            (Interval::closed(0.0, 1.0), Interval::half_open(1.0, 2.0)),
+            (Interval::half_open(0.0, 1.0), Interval::closed(1.0, 2.0)),
+            (Interval::FULL, Interval::EMPTY),
+        ];
+        for ty in [AttrType::Int, AttrType::Float] {
+            let s = Schema::new(vec![("a", ty), ("b", AttrType::Float)]);
+            for a in &ivs {
+                for b in &ivs {
+                    for (oa, ob) in &others {
+                        let mut x = Region::full(&s);
+                        x.set_interval(0, *a);
+                        x.set_interval(1, *oa);
+                        let mut y = Region::full(&s);
+                        y.set_interval(0, *b);
+                        y.set_interval(1, *ob);
+                        let expect = !x.intersected(&y).is_empty();
+                        assert_eq!(
+                            x.overlaps(&y),
+                            expect,
+                            "{ty:?} {a:?} {oa:?} vs {b:?} {ob:?}"
+                        );
+                        assert_eq!(
+                            y.overlaps(&x),
+                            expect,
+                            "{ty:?} {b:?} {ob:?} vs {a:?} {oa:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
