@@ -71,10 +71,7 @@ fn bench_parallel_decompose(c: &mut Criterion) {
         b.iter(|| decompose(&set, &base, Strategy::DfsRewrite).unwrap())
     });
     for threads in [2usize, 4, 8] {
-        let par = Parallelism {
-            threads,
-            depth: None,
-        };
+        let par = Parallelism { threads };
         group.bench_function(BenchmarkId::new(format!("threads_{threads}"), n), |b| {
             b.iter(|| decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap())
         });

@@ -62,26 +62,21 @@ pub struct BoundOptions {
     /// slightly wider one. This is the practical lever for heavily
     /// overlapping sets (Rand-PC) where decomposition yields many cells.
     pub lp_relax_cell_limit: usize,
-    /// Worker threads for decomposition fan-out, parallel GROUP-BY
-    /// groups, and the parallel witness search inside wide SAT checks.
-    /// `0` = auto-detect the machine's parallelism, `1` = strictly
-    /// sequential (also forcing the allocation MILP sequential — see
-    /// [`MilpOptions::threads`] for the solver-level knob, which inherits
-    /// this value unless set explicitly). Decomposed cell signatures,
-    /// regions, and order are bit-identical across thread counts and
-    /// bounds agree up to the branch & bound pruning tolerance (~1e-6 — a
-    /// parallel search may prune a node that would have improved the
-    /// incumbent by less than that, exactly as a sequential search may in
-    /// a different order). Cell *witnesses* may be different equally
-    /// genuine points when the first-hit-wins parallel witness search
-    /// engages, and work counters in [`DecomposeStats`] may differ
-    /// (`parallel_subtrees`, and GROUP-BY `sat_checks` — two group tasks
-    /// racing on the same uncached specialization both pay the check).
+    /// Worker threads for decomposition fan-out, shard and batch tasks,
+    /// and parallel GROUP-BY groups. `0` = auto-detect the machine's
+    /// parallelism, `1` = strictly sequential (also forcing the
+    /// allocation MILP sequential — see [`MilpOptions::threads`] for the
+    /// solver-level knob, which inherits this value unless set
+    /// explicitly). Decomposed cell signatures, regions, witnesses and
+    /// order are bit-identical across thread counts (every SAT check runs
+    /// the one serial search), and bounds agree up to the branch & bound
+    /// pruning tolerance (~1e-6 — a parallel search may prune a node that
+    /// would have improved the incumbent by less than that, exactly as a
+    /// sequential search may in a different order). Work counters in
+    /// [`DecomposeStats`] may differ (`parallel_subtrees`, and GROUP-BY
+    /// `sat_checks` — two group tasks racing on the same uncached
+    /// specialization both pay the check).
     pub threads: usize,
-    /// Optional cap on the decomposition fork depth; `None` (default)
-    /// forks every split above the sequential cutoff. See
-    /// [`Parallelism::depth`].
-    pub parallel_depth: Option<usize>,
     /// GROUP-BY strategy: decompose once against the base query and
     /// specialize the surviving cells per group key (with simplex warm
     /// starts chained between neighboring groups), instead of running a
@@ -139,7 +134,6 @@ impl Default for BoundOptions {
             check_closure: true,
             lp_relax_cell_limit: 150,
             threads: 0,
-            parallel_depth: None,
             shared_group_by: true,
             warm_start: true,
             shard: true,
@@ -613,7 +607,7 @@ impl<'a> BoundEngine<'a> {
             skipped_closure = true;
             false
         } else {
-            self.set.is_closed_within_with(&base, self.par_witness())
+            self.set.is_closed_within(&base)
         };
 
         let boxes = crate::shard::constraint_boxes(self.set);
@@ -939,21 +933,11 @@ impl<'a> BoundEngine<'a> {
         })
     }
 
-    /// Whether wide satisfiability checks (closure, specialization
-    /// re-checks) may use the parallel witness search: any engine not
-    /// pinned strictly sequential. The search itself stays inline below
-    /// [`pc_predicate::sat::PAR_WITNESS_CUTOFF`] live exclusions and on a
-    /// one-worker pool.
-    pub(crate) fn par_witness(&self) -> bool {
-        self.options.threads != 1
-    }
-
     /// Threads to spread a batch of independent tasks (GROUP-BY groups,
     /// session queries) over.
     pub(crate) fn task_threads(&self, n_items: usize) -> usize {
         let par = crate::Parallelism {
             threads: self.options.threads,
-            depth: None,
         };
         par.resolved_threads().min(n_items).max(1)
     }
@@ -985,7 +969,6 @@ impl<'a> BoundEngine<'a> {
         } else {
             Parallelism {
                 threads: self.options.threads,
-                depth: self.options.parallel_depth,
             }
         }
     }
@@ -1049,7 +1032,7 @@ impl<'a> BoundEngine<'a> {
             skipped_closure = true;
             false
         } else {
-            self.set.is_closed_within_with(&base, self.par_witness())
+            self.set.is_closed_within(&base)
         };
 
         let (cells, stats) = self.cells_for_base_budgeted(&base, budget)?;

@@ -33,12 +33,10 @@
 //! include-first afterwards — so the emitted cell order, the cell
 //! signatures and regions, and every counter except
 //! [`DecomposeStats::parallel_subtrees`] are *identical* to the
-//! sequential run (property-tested in `tests/prop_decompose.rs`). The
-//! one representation-level difference: a parallel policy also enables
-//! the first-hit-wins parallel witness search inside each SAT check
-//! ([`pc_predicate::sat::find_witness_with`]), so a cell's stored
-//! *witness* may be a different — equally genuine — point of the same
-//! cell than the sequential run's. Earlier
+//! sequential run (property-tested in `tests/prop_decompose.rs`),
+//! stored witnesses included: every SAT check runs the one serial
+//! search of [`pc_predicate::sat`], whose witness is a pure function of
+//! the cell. Earlier
 //! versions clamped forking to the top `⌈log₂ threads⌉` levels because
 //! the backend spawned an OS thread per fork; with the pool a fork is a
 //! deque push, so every split above the sequential cutoff forks and the
@@ -212,26 +210,14 @@ pub struct Parallelism {
     /// Worker threads to target. `0` = auto-detect
     /// (`rayon::current_num_threads`), `1` = sequential.
     pub threads: usize,
-    /// Optional cap on the number of DFS levels (from the root) at which
-    /// forking is allowed. `None` (the default) forks at *every* split
-    /// with more than [`PAR_SEQ_CUTOFF`] undecided constraints — the
-    /// work-stealing pool makes forks cheap enough that a depth clamp is
-    /// pure tuning, kept for A/B experiments.
-    pub depth: Option<usize>,
 }
 
 impl Parallelism {
     /// Strictly sequential execution.
-    pub const SEQUENTIAL: Parallelism = Parallelism {
-        threads: 1,
-        depth: None,
-    };
+    pub const SEQUENTIAL: Parallelism = Parallelism { threads: 1 };
 
-    /// Auto-detected thread count, unlimited fork depth.
-    pub const AUTO: Parallelism = Parallelism {
-        threads: 0,
-        depth: None,
-    };
+    /// Auto-detected thread count.
+    pub const AUTO: Parallelism = Parallelism { threads: 0 };
 
     /// The thread count after auto-detection.
     pub fn resolved_threads(&self) -> usize {
@@ -243,16 +229,15 @@ impl Parallelism {
     }
 
     /// Levels of the DFS (counted from the root) at which both-branch
-    /// nodes may fork. `threads: 1` always means sequential — an explicit
-    /// `depth` cannot re-enable forking on a sequential policy. With
-    /// `depth: None` every level may fork; the per-node
-    /// [`PAR_SEQ_CUTOFF`] on remaining constraints is what keeps leaves
-    /// inline.
+    /// nodes may fork: every level on a multi-thread policy, none on a
+    /// sequential one. The per-node [`PAR_SEQ_CUTOFF`] on remaining
+    /// constraints is what keeps leaves inline.
     pub fn fork_levels(&self, n_constraints: usize) -> usize {
         if self.resolved_threads() <= 1 {
-            return 0;
+            0
+        } else {
+            n_constraints
         }
-        self.depth.unwrap_or(n_constraints).min(n_constraints)
     }
 }
 
@@ -278,10 +263,9 @@ pub fn decompose(
 
 /// Decompose with an explicit [`Parallelism`] policy.
 ///
-/// The emitted cell signatures, regions, and order are identical to the
-/// sequential run; only [`DecomposeStats::parallel_subtrees`] (and
-/// possibly the identity of stored witnesses — see the module docs)
-/// depends on the policy.
+/// The emitted cells — signatures, regions, witnesses and order — are
+/// identical to the sequential run; only
+/// [`DecomposeStats::parallel_subtrees`] depends on the policy.
 /// [`Strategy::Naive`] ignores the policy — it exists as the unoptimized
 /// baseline and parallelizing it would only flatter it.
 pub fn decompose_with(
@@ -383,7 +367,7 @@ pub fn decompose_ordered_budgeted(
                         negs.push(&pc.predicate);
                     }
                 }
-                match sat::find_witness_budgeted(&region, &negs, false, budget) {
+                match sat::find_witness_budgeted(&region, &negs, budget) {
                     SatOutcome::Sat(witness) => {
                         stats.sat_checks += 1;
                         if !active.is_empty() {
@@ -416,18 +400,12 @@ pub fn decompose_ordered_budgeted(
                 Strategy::EarlyStop { depth } => (true, depth),
                 Strategy::Naive => unreachable!(),
             };
-            let fork_levels = par.fork_levels(n);
             dfs(
                 &Frame {
                     set,
                     rewrite,
                     stop_depth,
-                    fork_levels,
-                    // A parallel policy also lets each node's SAT check
-                    // fan its branch disjuncts out as stealable tasks
-                    // (sat::find_witness_with) — the checks stay inline
-                    // below the solver's own width cutoff.
-                    par_witness: fork_levels > 0,
+                    fork_levels: par.fork_levels(n),
                     budget,
                     ordering,
                 },
@@ -477,8 +455,6 @@ struct Frame<'a> {
     /// DFS levels (from the root) at which both-branch nodes may fork; 0
     /// means sequential.
     fork_levels: usize,
-    /// Whether SAT checks may use the parallel witness search.
-    par_witness: bool,
     /// Cooperative budget, checked once per DFS node and charged once per
     /// satisfiability probe. [`QueryBudget::unlimited`] in the classic
     /// entry points.
@@ -516,7 +492,7 @@ impl Frame<'_> {
     /// `None` when the budget tripped (before or during the search — a
     /// tripped probe must never be read as "unsatisfiable").
     fn probe(&self, region: &Region, negs: &[&Predicate]) -> Option<bool> {
-        match sat::find_witness_budgeted(region, negs, self.par_witness, self.budget) {
+        match sat::find_witness_budgeted(region, negs, self.budget) {
             SatOutcome::Sat(_) => Some(true),
             SatOutcome::Unsat => Some(false),
             SatOutcome::Tripped => None,
@@ -546,12 +522,7 @@ fn dfs<'a>(
                 // exact mode: prefix satisfiability was verified; reproduce
                 // the witness for downstream consumers (cheap relative to
                 // the checks already done)
-                match sat::find_witness_budgeted(
-                    &region,
-                    &excluded,
-                    frame.par_witness,
-                    frame.budget,
-                ) {
+                match sat::find_witness_budgeted(&region, &excluded, frame.budget) {
                     SatOutcome::Sat(w) => Some(w),
                     // Unsat cannot happen (the prefix was verified);
                     // a trip here only loses the stored witness — the
@@ -801,10 +772,7 @@ mod tests {
         let base = Region::full(set.schema());
         let (seq, seq_stats) = decompose(&set, &base, Strategy::DfsRewrite).unwrap();
         for threads in [2usize, 4, 8] {
-            let par = Parallelism {
-                threads,
-                depth: None,
-            };
+            let par = Parallelism { threads };
             let (pcells, pstats) = decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
             // same cells in the same order, not just as a set
             assert_eq!(
@@ -822,27 +790,12 @@ mod tests {
 
     #[test]
     fn fork_levels_derivation() {
-        // sequential policies never fork, even with an explicit depth
+        // sequential policies never fork; parallel ones fork at every level
         assert_eq!(Parallelism::SEQUENTIAL.fork_levels(20), 0);
-        let sequential_with_depth = Parallelism {
-            threads: 1,
-            depth: Some(3),
-        };
-        assert_eq!(sequential_with_depth.fork_levels(20), 0);
-        // parallel policies fork at every level by default …
-        let p = |threads| Parallelism {
-            threads,
-            depth: None,
-        };
+        let p = |threads| Parallelism { threads };
+        assert_eq!(p(1).fork_levels(20), 0);
         assert_eq!(p(2).fork_levels(20), 20);
-        assert_eq!(p(8).fork_levels(20), 20);
-        // … unless an explicit cap says otherwise (clamped to the tree)
-        let capped = Parallelism {
-            threads: 8,
-            depth: Some(5),
-        };
-        assert_eq!(capped.fork_levels(20), 5);
-        assert_eq!(capped.fork_levels(3), 3);
+        assert_eq!(p(8).fork_levels(3), 3);
     }
 
     #[test]
@@ -859,7 +812,6 @@ mod tests {
             rewrite: true,
             stop_depth: usize::MAX,
             fork_levels: n,
-            par_witness: false,
             budget: Box::leak(Box::new(QueryBudget::unlimited())),
             ordering: None,
         };
@@ -1096,10 +1048,7 @@ mod tests {
             .with(pc_on_utc(12.0, 30.0));
         let base = Region::full(set.schema());
         let (exact, _) = decompose(&set, &base, Strategy::DfsRewrite).unwrap();
-        let par = Parallelism {
-            threads: 4,
-            depth: None,
-        };
+        let par = Parallelism { threads: 4 };
         for cap in [0u64, 2, 5, 9] {
             let budget = QueryBudget::armed().with_sat_cap(cap);
             let (cells, _) =

@@ -212,16 +212,8 @@ impl BoundEngine<'_> {
         // treated as open — sound (widens), reported as degraded.
         let base_closed = self.options.check_closure
             && budget.proceed()
-            && self
-                .set
-                .is_closed_within_with(&base_region, self.par_witness());
-        let spec = SliceSpecializer::new(
-            self.set,
-            &two.shared_ids,
-            &two.cells,
-            group_attr,
-            self.par_witness(),
-        );
+            && self.set.is_closed_within(&base_region);
+        let spec = SliceSpecializer::new(self.set, &two.shared_ids, &two.cells, group_attr);
 
         // 2–4. Specialize, splice, and solve, one stealable task per key.
         let threads = self.task_threads(keys.len());
@@ -354,7 +346,7 @@ impl BoundEngine<'_> {
             &derived
         };
         let mut cells = if narrowed {
-            shared.specialize_budgeted(&sub, base_region, &mut stats, self.par_witness(), budget)
+            shared.specialize_budgeted(&sub, base_region, &mut stats, budget)
         } else {
             shared.cells().to_vec()
         };
@@ -498,7 +490,6 @@ impl BoundEngine<'_> {
                         cell.witness,
                         negs,
                         &locals,
-                        self.par_witness(),
                         &mut cells,
                         &mut stats,
                     );
@@ -527,7 +518,6 @@ impl BoundEngine<'_> {
                                 Some(w),
                                 spec.virtual_negs(key),
                                 &locals,
-                                self.par_witness(),
                                 &mut cells,
                                 &mut stats,
                             );
@@ -553,7 +543,7 @@ impl BoundEngine<'_> {
             // skipped check answers "open" — sound, degraded
             false
         } else {
-            self.set.is_closed_within_with(&slice, self.par_witness())
+            self.set.is_closed_within(&slice)
         };
         let problem = self.problem_from_cells_budgeted(
             base.attr, &slice, cells, stats, closed, None, warm, budget,

@@ -121,12 +121,11 @@
 //!     of every in-flight query, which finish early with sound degraded
 //!     answers. See the `pc-serve` crate docs for the wire reference.
 //!
-//! Parallelism, fan-out depth, the group-by fast paths, and the simplex
-//! tableau carry are all knobs on [`BoundOptions`] (`threads`,
-//! `parallel_depth`, `shared_group_by`, `warm_start` — off, every LP
-//! solves cold); under the exact strategies every configuration returns
-//! identical bounds — the knobs trade machine resources for latency, not
-//! accuracy. The one caveat is the deliberately approximate
+//! Parallelism, the group-by fast paths, and the simplex tableau carry
+//! are all knobs on [`BoundOptions`] (`threads`, `shared_group_by`,
+//! `warm_start` — off, every LP solves cold); under the exact strategies
+//! every configuration returns identical bounds — the knobs trade
+//! machine resources for latency, not accuracy. The one caveat is the deliberately approximate
 //! [`Strategy::EarlyStop`], where the shared group-by path may admit more
 //! unverified cells than per-key and report wider (still sound) ranges —
 //! see [`BoundOptions::shared_group_by`].

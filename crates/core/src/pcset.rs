@@ -120,20 +120,13 @@ impl PcSet {
 
     /// Closure check (Definition 3.2) restricted to `within`: is every
     /// point of `domain ∩ within` covered by some predicate? Implemented
-    /// as unsatisfiability of the all-negated cell.
+    /// as unsatisfiability of the all-negated cell. That cell excludes
+    /// *every* constraint, so it is the widest satisfiability query the
+    /// engine issues. With the disjoint box-difference search it is still
+    /// cheap: proving a Corr-PC grid closed takes about 0.2 ms at 144
+    /// constraints and 1 ms at 400 (2-core host).
     pub fn is_closed_within(&self, within: &Region) -> bool {
-        self.is_closed_within_with(within, false)
-    }
-
-    /// [`PcSet::is_closed_within`] with the parallel witness-search
-    /// opt-in of [`sat::find_witness_with`]. The all-negated cell
-    /// excludes *every* constraint, so it is the widest satisfiability
-    /// query the engine issues. With the disjoint box-difference search
-    /// it is still cheap: proving a Corr-PC grid closed takes about
-    /// 0.2 ms at 144 constraints and 1 ms at 400 (2-core host, serial
-    /// and parallel alike).
-    pub fn is_closed_within_with(&self, within: &Region, parallel: bool) -> bool {
-        self.uncovered_witness_with(within, parallel).is_none()
+        self.uncovered_witness(within).is_none()
     }
 
     /// A concrete point of `domain ∩ within` covered by no predicate —
@@ -141,10 +134,10 @@ impl PcSet {
     /// region is closed). Callers that cache the witness can later
     /// re-prove *non*-closure of any sub-region containing it without a
     /// SAT call (see [`crate::Session`]).
-    pub fn uncovered_witness_with(&self, within: &Region, parallel: bool) -> Option<Vec<f64>> {
+    pub fn uncovered_witness(&self, within: &Region) -> Option<Vec<f64>> {
         let base = self.domain.intersected(within);
         let negs: Vec<&Predicate> = self.constraints.iter().map(|pc| &pc.predicate).collect();
-        sat::find_witness_with(&base, &negs, parallel)
+        sat::find_witness(&base, &negs)
     }
 
     /// Closure over the whole declared domain.
@@ -313,14 +306,11 @@ mod tests {
         let set = corr_grid(14);
         assert_eq!(set.len(), 196);
         let negs: Vec<&Predicate> = set.constraints().iter().map(|pc| &pc.predicate).collect();
-        for parallel in [false, true] {
-            let budget = QueryBudget::unlimited().with_timeout(Duration::from_secs(5));
-            assert_eq!(
-                sat::find_witness_budgeted(set.domain(), &negs, parallel, &budget),
-                SatOutcome::Unsat,
-                "parallel = {parallel}"
-            );
-        }
+        let budget = QueryBudget::unlimited().with_timeout(Duration::from_secs(5));
+        assert_eq!(
+            sat::find_witness_budgeted(set.domain(), &negs, &budget),
+            SatOutcome::Unsat
+        );
 
         let session = Session::new(set.clone());
         assert!(session.sharded_cell_set().unwrap().closed());

@@ -98,9 +98,8 @@
 //! Shared, untouched cells keep their identity across epochs — including
 //! their cached witnesses. Split or re-widened cells may carry *new*
 //! witnesses (equally genuine points of the same cell), so witness
-//! identity is only stable for cells the churned box never touched —
-//! the same caveat as the parallel witness search
-//! ([`crate::decompose`]). A derived epoch's *cells* are exactly a fresh
+//! identity is only stable for cells the churned box never touched. A
+//! derived epoch's *cells* are exactly a fresh
 //! decomposition's, and its bounds equal a session freshly built on the
 //! mutated catalog up to solver tolerance (~1e-6 — the branch & bound
 //! pruning tolerance plus warm-start floating-point noise, the same
@@ -369,12 +368,6 @@ impl Session {
         self.cells_of(&epoch)
     }
 
-    /// Whether wide SAT checks may fan out (mirrors
-    /// [`BoundEngine::par_witness`]).
-    fn par_witness(&self) -> bool {
-        self.options.bound.threads != 1
-    }
-
     /// Pin the current epoch (the snapshot every query runs against).
     fn pin(&self) -> Arc<Epoch> {
         Arc::clone(&self.current.lock().unwrap())
@@ -452,7 +445,7 @@ impl Session {
             closure_skipped = true;
             None
         } else {
-            epoch.set.uncovered_witness_with(&base, self.par_witness())
+            epoch.set.uncovered_witness(&base)
         };
         sharded.set_closure(uncovered, closure_skipped);
         Ok(Arc::new(sharded))
@@ -679,7 +672,6 @@ impl Session {
         estimates: &Arc<Estimates>,
         budget: &QueryBudget,
     ) -> Result<ShardedCellSet, BoundError> {
-        let parallel = self.par_witness();
         let check_closure = self.options.bound.check_closure;
         let base_known_closed = check_closure && prev_cells.closed();
         let uncovered = if !check_closure {
@@ -697,7 +689,7 @@ impl Session {
                 // the placeholder value is never served)
                 Some(_) => {
                     if budget.proceed() {
-                        set.uncovered_witness_with(set.domain(), parallel)
+                        set.uncovered_witness(set.domain())
                     } else {
                         None
                     }
@@ -749,7 +741,7 @@ impl Session {
                 for atom in removed.predicate.atoms() {
                     within.intersect_atom(atom);
                 }
-                new_set.uncovered_witness_with(&within, self.par_witness())
+                new_set.uncovered_witness(&within)
             }
         }
     }
@@ -1059,13 +1051,7 @@ impl Session {
             // flat cell set exactly as an unsharded session would.
             let cell_set = sharded.flatten(set);
             let mut stats = cell_set.stats();
-            let cells = cell_set.specialize_budgeted(
-                set,
-                &target,
-                &mut stats,
-                engine.par_witness(),
-                budget,
-            );
+            let cells = cell_set.specialize_budgeted(set, &target, &mut stats, budget);
             stats.cells = cells.len();
 
             let closed = self.closed_within(&sharded, set, &target, &engine, budget);
@@ -1097,13 +1083,9 @@ impl Session {
                 // specialization is the identity, share without the scan
                 shard.cells().cells().to_vec()
             } else {
-                shard.cells().specialize_budgeted(
-                    shard.set(),
-                    &target,
-                    &mut slice_stats,
-                    engine.par_witness(),
-                    budget,
-                )
+                shard
+                    .cells()
+                    .specialize_budgeted(shard.set(), &target, &mut slice_stats, budget)
             };
             parts.push(ShardPart::Touched(ShardSlice {
                 sub: Arc::clone(shard.set()),
@@ -1149,7 +1131,7 @@ impl Session {
         } else {
             // non-closed epoch, but the query region may dodge the
             // uncovered part — one exact check decides
-            set.is_closed_within_with(target, engine.par_witness())
+            set.is_closed_within(target)
         }
     }
 

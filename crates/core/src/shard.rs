@@ -645,14 +645,10 @@ impl ShardedCellSet {
                 let mut boxes = shard.boxes.clone();
                 boxes.push(new_box);
                 let sub = Arc::new(sub_set(new_set, &members));
-                let parallel = options.threads != 1;
-                let derived = shard.cells.derive_add_budgeted(
-                    &sub,
-                    parallel,
-                    None,
-                    base_known_closed,
-                    budget,
-                );
+                let derived =
+                    shard
+                        .cells
+                        .derive_add_budgeted(&sub, None, base_known_closed, budget);
                 stats = derived.stats();
                 shards.extend(self.shards.iter().cloned());
                 shards[s] = Arc::new(Shard {

@@ -181,9 +181,8 @@ impl CellSet {
         set: &PcSet,
         target: &Region,
         stats: &mut DecomposeStats,
-        parallel: bool,
     ) -> Vec<Cell> {
-        self.specialize_budgeted(set, target, stats, parallel, &QueryBudget::unlimited())
+        self.specialize_budgeted(set, target, stats, &QueryBudget::unlimited())
     }
 
     /// [`CellSet::specialize`] under a [`QueryBudget`]: the per-cell SAT
@@ -196,7 +195,6 @@ impl CellSet {
         set: &PcSet,
         target: &Region,
         stats: &mut DecomposeStats,
-        parallel: bool,
         budget: &QueryBudget,
     ) -> Vec<Cell> {
         let mut out = Vec::with_capacity(self.cells.len());
@@ -219,7 +217,7 @@ impl CellSet {
                         .iter()
                         .map(|&j| &set.constraints()[j].predicate)
                         .collect();
-                    match sat::find_witness_budgeted(&narrowed, &negs, parallel, budget) {
+                    match sat::find_witness_budgeted(&narrowed, &negs, budget) {
                         SatOutcome::Sat(w) => {
                             stats.sat_checks += 1;
                             Some(w)
@@ -290,13 +288,11 @@ impl CellSet {
     pub(crate) fn derive_add(
         &self,
         new_set: &PcSet,
-        parallel: bool,
         uncovered: Option<Vec<f64>>,
         base_known_closed: bool,
     ) -> CellSet {
         self.derive_add_budgeted(
             new_set,
-            parallel,
             uncovered,
             base_known_closed,
             &QueryBudget::unlimited(),
@@ -313,7 +309,6 @@ impl CellSet {
     pub(crate) fn derive_add_budgeted(
         &self,
         new_set: &PcSet,
-        parallel: bool,
         uncovered: Option<Vec<f64>>,
         base_known_closed: bool,
         budget: &QueryBudget,
@@ -365,7 +360,7 @@ impl CellSet {
                     } else if inc_region.contains_row(w) {
                         Some(Some(w.clone()))
                     } else {
-                        match sat::find_witness_budgeted(&inc_region, &negs, parallel, budget) {
+                        match sat::find_witness_budgeted(&inc_region, &negs, budget) {
                             SatOutcome::Sat(iw) => {
                                 stats.sat_checks += 1;
                                 Some(Some(iw))
@@ -385,7 +380,7 @@ impl CellSet {
                     } else {
                         let mut probe = negs.clone();
                         probe.push(&pc.predicate);
-                        match sat::find_witness_budgeted(&cell.region, &probe, parallel, budget) {
+                        match sat::find_witness_budgeted(&cell.region, &probe, budget) {
                             SatOutcome::Sat(ew) => {
                                 stats.sat_checks += 1;
                                 Some(Some(ew))
@@ -440,7 +435,7 @@ impl CellSet {
                 // the cached closure counterexample satisfies no old
                 // predicate; if the new box contains it, it *is* the cell
                 Some(w) if only.contains_row(w) => Some(Some(w.clone())),
-                _ => match sat::find_witness_budgeted(&only, &relevant, parallel, budget) {
+                _ => match sat::find_witness_budgeted(&only, &relevant, budget) {
                     SatOutcome::Sat(w) => {
                         stats.sat_checks += 1;
                         Some(Some(w))
@@ -668,8 +663,6 @@ type SpliceMemo = HashMap<(usize, u64, LocalsSig), Arc<Vec<SpliceLeaf>>>;
 pub(crate) struct SliceSpecializer<'a> {
     cells: &'a [Cell],
     group_attr: usize,
-    /// Whether the parallel witness search may engage in re-checks.
-    parallel: bool,
     /// Per cell: relevant exclusions as (group-attr interval, predicate).
     relevant_of: Vec<Vec<(Interval, &'a Predicate)>>,
     /// Whether the cell's relevant exclusions fit the 64-bit memo mask.
@@ -691,7 +684,6 @@ impl<'a> SliceSpecializer<'a> {
         shared_ids: &[usize],
         cells: &'a [Cell],
         group_attr: usize,
-        parallel: bool,
     ) -> Self {
         let constraints = set.constraints();
         // Each predicate's group-attribute interval depends only on the
@@ -720,7 +712,6 @@ impl<'a> SliceSpecializer<'a> {
         SliceSpecializer {
             cells,
             group_attr,
-            parallel,
             relevant_of,
             memoable,
             all_shared,
@@ -1025,7 +1016,7 @@ impl<'a> SliceSpecializer<'a> {
             // too many relevant exclusions for the 64-bit mask: still use
             // the (sound) group-active filter, just without memoization
             stats.sat_checks += 1;
-            return sat::find_witness_with(region, &negs, self.parallel);
+            return sat::find_witness(region, &negs);
         }
         let mut mask = 0u64;
         for (bit, (g_iv, _)) in relevant.iter().enumerate() {
@@ -1041,7 +1032,7 @@ impl<'a> SliceSpecializer<'a> {
             });
         }
         stats.sat_checks += 1;
-        let witness = sat::find_witness_with(region, &negs, self.parallel);
+        let witness = sat::find_witness(region, &negs);
         self.memo
             .lock()
             .unwrap()
@@ -1074,7 +1065,6 @@ pub(crate) fn splice_locals<'a>(
     witness: Option<Vec<f64>>,
     shared_negs: Vec<&'a Predicate>,
     locals: &[(usize, &'a PredicateConstraint)],
-    parallel: bool,
     out: &mut Vec<Cell>,
     stats: &mut DecomposeStats,
 ) {
@@ -1088,7 +1078,6 @@ pub(crate) fn splice_locals<'a>(
         shared_negs,
         witness,
         verified,
-        parallel,
         out,
         stats,
     );
@@ -1104,7 +1093,6 @@ fn splice_dfs<'a>(
     excluded: Vec<&'a Predicate>,
     witness: Option<Vec<f64>>,
     verified: bool,
-    parallel: bool,
     out: &mut Vec<Cell>,
     stats: &mut DecomposeStats,
 ) {
@@ -1146,7 +1134,6 @@ fn splice_dfs<'a>(
                 excluded.clone(),
                 None,
                 false,
-                parallel,
                 out,
                 stats,
             );
@@ -1162,7 +1149,6 @@ fn splice_dfs<'a>(
             exc,
             None,
             false,
-            parallel,
             out,
             stats,
         );
@@ -1179,7 +1165,7 @@ fn splice_dfs<'a>(
         Some(w.clone())
     } else {
         stats.sat_checks += 1;
-        sat::find_witness_with(&inc_region, &excluded, parallel)
+        sat::find_witness(&inc_region, &excluded)
     };
     let exc_witness = if !pc.predicate.eval(w) {
         Some(w.clone())
@@ -1187,7 +1173,7 @@ fn splice_dfs<'a>(
         let mut probe = excluded.clone();
         probe.push(&pc.predicate);
         stats.sat_checks += 1;
-        sat::find_witness_with(&region, &probe, parallel)
+        sat::find_witness(&region, &probe)
     };
 
     if let Some(iw) = inc_witness {
@@ -1202,7 +1188,6 @@ fn splice_dfs<'a>(
             excluded.clone(),
             Some(iw),
             true,
-            parallel,
             out,
             stats,
         );
@@ -1219,7 +1204,6 @@ fn splice_dfs<'a>(
             exc,
             Some(ew),
             true,
-            parallel,
             out,
             stats,
         );
@@ -1259,7 +1243,7 @@ mod tests {
     fn cell_set(set: &PcSet) -> CellSet {
         let base = set.domain().clone();
         let (cells, stats) = decompose(set, &base, Strategy::DfsRewrite).unwrap();
-        let uncovered = set.uncovered_witness_with(&base, false);
+        let uncovered = set.uncovered_witness(&base);
         CellSet::new(set, base, cells, stats, uncovered)
     }
 
@@ -1268,7 +1252,7 @@ mod tests {
         let set = overlapping_set();
         let cs = cell_set(&set);
         let mut stats = cs.stats();
-        let cells = cs.specialize(&set, cs.base(), &mut stats, false);
+        let cells = cs.specialize(&set, cs.base(), &mut stats);
         assert_eq!(cells.len(), cs.cells().len());
         // no SAT re-checks: every cell is contained in the target
         assert_eq!(stats.sat_checks, cs.stats().sat_checks);
@@ -1289,7 +1273,7 @@ mod tests {
                 target.interval(0).intersect(&Interval::half_open(lo, hi)),
             );
             let mut stats = cs.stats();
-            let specialized = cs.specialize(&set, &target, &mut stats, false);
+            let specialized = cs.specialize(&set, &target, &mut stats);
             let (fresh, _) = decompose(&set, &target, Strategy::DfsRewrite).unwrap();
             let mut a: Vec<Vec<usize>> = specialized.iter().map(|c| c.active.to_vec()).collect();
             let mut b: Vec<Vec<usize>> = fresh.iter().map(|c| c.active.to_vec()).collect();
@@ -1317,7 +1301,7 @@ mod tests {
         let mut target = set.domain().clone();
         target.set_interval(0, Interval::half_open(100.0, 120.0));
         let mut stats = cs.stats();
-        assert!(cs.specialize(&set, &target, &mut stats, false).is_empty());
+        assert!(cs.specialize(&set, &target, &mut stats).is_empty());
     }
 
     #[test]
@@ -1363,7 +1347,6 @@ mod tests {
                 cell.witness,
                 Vec::new(),
                 &[(1, &local)],
-                false,
                 &mut got,
                 &mut stats,
             );
@@ -1415,8 +1398,8 @@ mod tests {
         ] {
             let mut bigger = set.clone();
             bigger.push(extra);
-            let uncovered = bigger.uncovered_witness_with(bigger.domain(), false);
-            let derived = cs.derive_add(&bigger, false, uncovered, cs.uncovered().is_none());
+            let uncovered = bigger.uncovered_witness(bigger.domain());
+            let derived = cs.derive_add(&bigger, uncovered, cs.uncovered().is_none());
             let (fresh, fresh_stats) =
                 decompose(&bigger, bigger.domain(), Strategy::DfsRewrite).unwrap();
             assert_eq!(shape(derived.cells()), shape(&fresh));
@@ -1438,7 +1421,7 @@ mod tests {
         let mut bigger = set.clone();
         // box outside the domain: no cell is cut, no new-only cell exists
         bigger.push(pc_box(25.0, 30.0, 10.0));
-        let derived = cs.derive_add(&bigger, false, None, cs.uncovered().is_none());
+        let derived = cs.derive_add(&bigger, None, cs.uncovered().is_none());
         assert_eq!(derived.stats().sat_checks, 0);
         assert_eq!(derived.stats().incremental_splits, 0);
         assert_eq!(derived.cells().len(), cs.cells().len());
@@ -1458,8 +1441,8 @@ mod tests {
         assert!(cs.uncovered().is_some(), "base must be open");
         let mut bigger = set.clone();
         bigger.push(pc_box(18.0, 24.0, 55.0));
-        let uncovered = bigger.uncovered_witness_with(bigger.domain(), false);
-        let derived = cs.derive_add(&bigger, false, uncovered, false);
+        let uncovered = bigger.uncovered_witness(bigger.domain());
+        let derived = cs.derive_add(&bigger, uncovered, false);
         let (fresh, _) = decompose(&bigger, bigger.domain(), Strategy::DfsRewrite).unwrap();
         assert_eq!(shape(derived.cells()), shape(&fresh));
         assert_genuine_witnesses(derived.cells(), &bigger);
@@ -1477,7 +1460,7 @@ mod tests {
         for removed in 0..set.len() {
             let mut smaller = set.clone();
             smaller.remove_constraint(removed);
-            let uncovered = smaller.uncovered_witness_with(smaller.domain(), false);
+            let uncovered = smaller.uncovered_witness(smaller.domain());
             let derived = cs.derive_retire(&smaller, removed, uncovered);
             assert_eq!(derived.stats().sat_checks, 0, "retire is SAT-free");
             let (fresh, _) = decompose(&smaller, smaller.domain(), Strategy::DfsRewrite).unwrap();
@@ -1496,15 +1479,10 @@ mod tests {
         bigger.push(pc_box(3.0, 12.0, 65.0));
         let added = cs.derive_add(
             &bigger,
-            false,
-            bigger.uncovered_witness_with(bigger.domain(), false),
+            bigger.uncovered_witness(bigger.domain()),
             cs.uncovered().is_none(),
         );
-        let back = added.derive_retire(
-            &set,
-            set.len(),
-            set.uncovered_witness_with(set.domain(), false),
-        );
+        let back = added.derive_retire(&set, set.len(), set.uncovered_witness(set.domain()));
         assert_eq!(shape(back.cells()), shape(cs.cells()));
         assert_genuine_witnesses(back.cells(), &set);
     }
@@ -1520,7 +1498,7 @@ mod tests {
             let mut target = query.predicate.to_region(set.schema());
             target.intersect(set.domain());
             let mut stats = cs.stats();
-            let cells = cs.specialize(&set, &target, &mut stats, false);
+            let cells = cs.specialize(&set, &target, &mut stats);
             stats.cells = cells.len();
             let closed = cs.closed() || set.is_closed_within(&target);
             let problem = engine

@@ -10,8 +10,8 @@
 //! sequential ones.
 
 use pc_core::{
-    decompose, decompose_with, BoundEngine, BoundOptions, FrequencyConstraint, Parallelism, PcSet,
-    PredicateConstraint, Strategy, ValueConstraint,
+    decompose, decompose_with, BoundEngine, BoundOptions, Cell, FrequencyConstraint, Parallelism,
+    PcSet, PredicateConstraint, Session, SessionOptions, Strategy, ValueConstraint,
 };
 use pc_predicate::{Atom, AttrType, Interval, Predicate, Region, Schema};
 use pc_storage::{AggKind, AggQuery};
@@ -55,17 +55,14 @@ fn forked_decomposition_is_bit_identical() {
     let base = Region::full(set.schema());
     let (seq_cells, seq_stats) = decompose(&set, &base, Strategy::DfsRewrite).unwrap();
     for threads in [0usize, 2, 4, 8] {
-        let par = Parallelism {
-            threads,
-            depth: None,
-        };
+        let par = Parallelism { threads };
         let (cells, stats) = decompose_with(&set, &base, Strategy::DfsRewrite, par).unwrap();
         assert_eq!(seq_cells.len(), cells.len(), "threads={threads}");
         for (s, p) in seq_cells.iter().zip(&cells) {
             assert_eq!(s.active.to_vec(), p.active.to_vec());
             assert!(*s.region == *p.region);
-            // Witness *identity* may differ: the parallel witness search
-            // is first-hit-wins. Genuineness must hold regardless.
+            // the SAT search is serial, so witnesses match exactly
+            assert_eq!(s.witness, p.witness);
             let w = p.witness.as_ref().expect("exact mode carries witnesses");
             assert!(p.region.contains_row(w));
             for (j, pc) in set.constraints().iter().enumerate() {
@@ -253,4 +250,95 @@ fn repeated_parallel_group_by_is_stable() {
             }
         }
     }
+}
+
+/// An open catalog in two interaction shards: eight boxes that all share
+/// the point (8, 8), so closure and derivation SAT checks exclude more
+/// than 6 overlapping boxes at once, and three far boxes on `x ≥ 30`.
+fn wide_open_set() -> PcSet {
+    let schema = Schema::new(vec![("x", AttrType::Int), ("y", AttrType::Int)]);
+    let mut set = PcSet::new(schema);
+    let boxes = (0..8)
+        .map(|i| {
+            let (x, y) = (f64::from(i), f64::from(i * 3 % 7));
+            (x, x + 9.0, y, y + 9.0)
+        })
+        .chain([
+            (30.0, 34.0, 0.0, 12.0),
+            (33.0, 40.0, 8.0, 20.0),
+            (36.0, 40.0, 0.0, 9.0),
+        ]);
+    for (x0, x1, y0, y1) in boxes {
+        set.push(grid_box(x0, x1, y0, y1));
+    }
+    let mut domain = Region::full(set.schema());
+    domain.set_interval(0, Interval::closed(0.0, 40.0));
+    domain.set_interval(1, Interval::closed(0.0, 20.0));
+    set.set_domain(domain);
+    set
+}
+
+fn grid_box(x0: f64, x1: f64, y0: f64, y1: f64) -> PredicateConstraint {
+    PredicateConstraint::new(
+        Predicate::always()
+            .and(Atom::between(0, x0, x1))
+            .and(Atom::between(1, y0, y1)),
+        ValueConstraint::none(),
+        FrequencyConstraint::at_most(10),
+    )
+}
+
+fn assert_same_cells(a: &[Cell], b: &[Cell], step: &str) {
+    assert_eq!(a.len(), b.len(), "{step}");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.active, y.active, "{step}");
+        assert_eq!(x.region, y.region, "{step}: {:?}", x.active);
+        assert_eq!(x.witness, y.witness, "{step}: {:?}", x.active);
+    }
+}
+
+/// A sequential session and a default (multi-worker) one hold the same
+/// cells, witnesses included, and the same closure counterexample, after
+/// every add, replace and retire on a catalog with wide SAT checks.
+#[test]
+fn session_witnesses_match_across_thread_counts() {
+    pool4();
+    let sessions = [1, 0].map(|threads| {
+        Session::with_options(
+            wide_open_set(),
+            SessionOptions {
+                bound: BoundOptions {
+                    threads,
+                    ..BoundOptions::default()
+                },
+                ..SessionOptions::default()
+            },
+        )
+    });
+    let check = |step: &str| {
+        let [a, b] = sessions.each_ref().map(|s| s.cell_set().unwrap());
+        assert_same_cells(a.cells(), b.cells(), step);
+        let [a, b] = sessions.each_ref().map(|s| s.sharded_cell_set().unwrap());
+        assert!(a.shards().len() > 1, "{step}: the far boxes shard apart");
+        assert!(a.uncovered().is_some(), "{step}: the catalog stays open");
+        assert_eq!(a.uncovered(), b.uncovered(), "{step}");
+    };
+    check("build");
+    for session in &sessions {
+        // overlaps all eight clustered boxes
+        session.add_constraint(grid_box(2.0, 14.0, 2.0, 14.0));
+    }
+    check("add");
+    for session in &sessions {
+        let id = session.constraint_ids()[3];
+        session
+            .replace_constraint(id, grid_box(1.0, 16.0, 4.0, 18.0))
+            .unwrap();
+    }
+    check("replace");
+    for session in &sessions {
+        let id = session.constraint_ids()[5];
+        session.retire_constraint(id).unwrap();
+    }
+    check("retire");
 }

@@ -260,8 +260,7 @@ proptest! {
     }
 
     /// Churn under the multi-worker engine knobs: the pinned pool's
-    /// parallel witness search / batch fan-out never changes epochs'
-    /// answers.
+    /// decomposition / batch fan-out never changes epochs' answers.
     #[test]
     fn churn_is_stable_across_thread_counts(
         pcs in prop::collection::vec(arb_pc(), 1..4),

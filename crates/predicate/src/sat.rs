@@ -37,38 +37,23 @@
 //! The verdict is order-independent: *any* atom order gives a partition
 //! of the same set `base \ ψ` (only the prefix atoms, and so the branch
 //! boxes, change), and on failure every branch is still tried. Only the
-//! identity of the returned witness can shift with the order, which the
-//! parallel-search contract below already allows.
-//!
-//! # Parallel search
-//!
-//! The branch step is a disjunction of disjoint, independent
-//! subproblems. [`find_witness_with`] runs them as stealable tasks on
-//! the work-stealing pool whenever the search is still *wide* (more than
-//! [`PAR_WITNESS_CUTOFF`] live exclusions). The first task to find a
-//! witness wins: a shared stop flag cancels the remaining subtrees, which
-//! only ever skips work that would have produced a *different equally
-//! valid* witness — the boxes are disjoint, so no two tasks can find the
-//! same point. Satisfiability verdicts are identical to the sequential
-//! search, since the tasks cover the same partition; the witness row
-//! itself may differ between runs (both are genuine points of the cell).
+//! identity of the returned witness depends on the order, and the order
+//! is a pure function of `base` and ψ, so the same inputs always return
+//! the same witness.
 //!
 //! # Budgets
 //!
 //! [`find_witness_budgeted`] is the cooperative-cancellation entry: it
 //! charges the probe against a [`QueryBudget`] and re-checks the
 //! budget's passive limits (deadline / cancel) at every recursion and
-//! after every sequential branch — the same places the first-hit-wins
-//! stop flag is consulted — so a tripped search unwinds within one
-//! branch granule. A tripped probe reports [`SatOutcome::Tripped`],
+//! after every branch, so a tripped search unwinds within one branch
+//! granule. A tripped probe reports [`SatOutcome::Tripped`],
 //! **never** `Unsat`: the search was abandoned, not refuted, and
 //! callers must treat the cell as possibly satisfiable (the
 //! EarlyStop-style sound widening).
 
 use crate::{Atom, Interval, Predicate, Region};
 use pc_budget::QueryBudget;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Tri-state verdict of a budgeted satisfiability probe.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,45 +77,19 @@ impl SatOutcome {
     }
 }
 
-/// Minimum number of live (overlapping, non-covering) exclusions for the
-/// branch boxes to fork as pool tasks. Below it the whole search is a
-/// handful of interval intersections and stays inline. Above it a fork
-/// pays only when the branch subtrees are large, and with disjoint
-/// branches they seldom are: each region is refuted once, so a subtree
-/// grows with the boxes it must cut, not exponentially in the live
-/// count. Measured on 2 cores, the serial closure proof is as fast as
-/// or faster than the parallel one on Corr-PC grids of 100–1131
-/// constraints (0.2–5 ms) and on Rand-PC catalogs of 20–200.
-pub const PAR_WITNESS_CUTOFF: usize = 6;
-
 /// Decide whether `base ∧ ¬ψ₁ ∧ … ∧ ¬ψₖ` is satisfiable, returning a
 /// witness row (one encoded `f64` per attribute) if so.
 ///
 /// `negs` are the excluded predicates. An excluded tautology makes every
 /// cell empty (`¬TRUE` is unsatisfiable), which falls out naturally since
 /// the tautology's box covers everything.
-///
-/// Strictly sequential; see [`find_witness_with`] for the parallel
-/// driver.
 pub fn find_witness(base: &Region, negs: &[&Predicate]) -> Option<Vec<f64>> {
     #[cfg(feature = "fault")]
     pc_budget::fault::point("sat::probe");
-    search(base, negs, false, None, &QueryBudget::unlimited())
+    search(base, negs, &QueryBudget::unlimited())
 }
 
-/// [`find_witness`] with an explicit parallelism opt-in: when `parallel`
-/// is true and the global pool has more than one worker, wide branch
-/// disjunctions fork as first-hit-wins stealable tasks (see the module
-/// docs). The satisfiability verdict is identical either way; only the
-/// identity of the returned witness may vary.
-pub fn find_witness_with(base: &Region, negs: &[&Predicate], parallel: bool) -> Option<Vec<f64>> {
-    #[cfg(feature = "fault")]
-    pc_budget::fault::point("sat::probe");
-    let parallel = parallel && rayon::current_num_threads() > 1;
-    search(base, negs, parallel, None, &QueryBudget::unlimited())
-}
-
-/// [`find_witness_with`] under a [`QueryBudget`]: charges one SAT probe,
+/// [`find_witness`] under a [`QueryBudget`]: charges one SAT probe,
 /// re-checks the passive limits at every recursion, and reports the
 /// tri-state [`SatOutcome`] — `Tripped` when the budget ran out before
 /// the search could conclude (see the module docs; never read `Tripped`
@@ -138,7 +97,6 @@ pub fn find_witness_with(base: &Region, negs: &[&Predicate], parallel: bool) -> 
 pub fn find_witness_budgeted(
     base: &Region,
     negs: &[&Predicate],
-    parallel: bool,
     budget: &QueryBudget,
 ) -> SatOutcome {
     #[cfg(feature = "fault")]
@@ -146,8 +104,7 @@ pub fn find_witness_budgeted(
     if !budget.charge_sat() {
         return SatOutcome::Tripped;
     }
-    let parallel = parallel && rayon::current_num_threads() > 1;
-    match search(base, negs, parallel, None, budget) {
+    match search(base, negs, budget) {
         Some(w) => SatOutcome::Sat(w),
         // A `None` under a tripped budget is an abandoned search, not a
         // refutation (the trip may have landed after a genuine UNSAT
@@ -158,23 +115,10 @@ pub fn find_witness_budgeted(
     }
 }
 
-/// The DPLL-style search. `stop` is the shared first-hit-wins
-/// cancellation flag of an enclosing parallel fan-out: once set, every
-/// search under that fan-out may return `None` *as a cancellation* — the
-/// fan-out that set it has already recorded a genuine witness, and
-/// cancelled results are discarded, never interpreted as UNSAT. A
-/// tripped `budget` aborts the same way; the budgeted public entry
-/// re-reads the budget to tell the two `None`s apart.
-fn search(
-    base: &Region,
-    negs: &[&Predicate],
-    parallel: bool,
-    stop: Option<&AtomicBool>,
-    budget: &QueryBudget,
-) -> Option<Vec<f64>> {
-    if stop.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        return None;
-    }
+/// The DPLL-style search. A tripped `budget` aborts it with `None`; the
+/// budgeted public entry re-reads the budget to tell an abandoned search
+/// from a refutation.
+fn search(base: &Region, negs: &[&Predicate], budget: &QueryBudget) -> Option<Vec<f64>> {
     if !budget.proceed() {
         return None;
     }
@@ -241,26 +185,14 @@ fn search(
     // largest-surviving-fraction first (module docs, "Branch ordering").
     let cuts = ordered_cuts(base, pick);
     let branches = disjoint_branches(base, &cuts);
-    // Wide parallel searches materialize the branch boxes up front and
-    // fan them out as tasks.
-    if parallel && live.len() > PAR_WITNESS_CUTOFF {
-        let boxes: Vec<Region> = branches.collect();
-        if boxes.len() > 1 {
-            return fan_out(&rest, boxes, stop, budget);
-        }
-        return boxes
-            .first()
-            .and_then(|b| search(b, &rest, parallel, stop, budget));
-    }
-
-    // Sequential branch loop: the boxes are built lazily, only for the
-    // branches actually reached — the first witness stops the scan.
+    // The boxes are built lazily, only for the branches actually
+    // reached — the first witness stops the scan.
     for shrunk in branches {
-        let found = search(&shrunk, &rest, parallel, stop, budget);
+        let found = search(&shrunk, &rest, budget);
         if found.is_some() {
             return found;
         }
-        if stop.is_some_and(|f| f.load(Ordering::Relaxed)) || !budget.proceed() {
+        if !budget.proceed() {
             return None;
         }
     }
@@ -361,50 +293,9 @@ fn surviving_fraction(narrowed: &Interval, cur: &Interval) -> f64 {
     ((narrowed.hi - narrowed.lo) / cur_w).clamp(0.0, 1.0)
 }
 
-/// Run the branch boxes as first-hit-wins stealable tasks. Any task
-/// that finds a witness sets the (shared) stop flag — cancelling every
-/// other subtree under the same root — and the first such witness *at
-/// this level* is the result. A level whose tasks were all cancelled
-/// returns `None`, which its own parent fan-out discards: the witness
-/// that caused the cancellation propagates up the chain of the task that
-/// found it.
-fn fan_out(
-    rest: &[&Predicate],
-    boxes: Vec<Region>,
-    stop: Option<&AtomicBool>,
-    budget: &QueryBudget,
-) -> Option<Vec<f64>> {
-    let local_stop = AtomicBool::new(false);
-    let stop = stop.unwrap_or(&local_stop);
-    let result: Mutex<Option<Vec<f64>>> = Mutex::new(None);
-    rayon::scope(|s| {
-        for shrunk in boxes {
-            let result = &result;
-            s.spawn(move |_| {
-                if stop.load(Ordering::Relaxed) || !budget.proceed() {
-                    return;
-                }
-                if let Some(w) = search(&shrunk, rest, true, Some(stop), budget) {
-                    stop.store(true, Ordering::Relaxed);
-                    let mut slot = result.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(w);
-                    }
-                }
-            });
-        }
-    });
-    result.into_inner().unwrap()
-}
-
 /// Decide satisfiability without materializing the witness.
 pub fn is_sat(base: &Region, negs: &[&Predicate]) -> bool {
     find_witness(base, negs).is_some()
-}
-
-/// [`is_sat`] with the parallel-search opt-in of [`find_witness_with`].
-pub fn is_sat_with(base: &Region, negs: &[&Predicate], parallel: bool) -> bool {
-    find_witness_with(base, negs, parallel).is_some()
 }
 
 /// True if predicate `p`'s box contains all of `base`.
@@ -590,10 +481,10 @@ mod tests {
         let gap_right = boxp(6.0, 11.0, -1.0, 11.0);
         let b = QueryBudget::unlimited();
         assert_eq!(
-            find_witness_budgeted(&base, &[&left, &right], false, &b),
+            find_witness_budgeted(&base, &[&left, &right], &b),
             SatOutcome::Unsat
         );
-        match find_witness_budgeted(&base, &[&left, &gap_right], false, &b) {
+        match find_witness_budgeted(&base, &[&left, &gap_right], &b) {
             SatOutcome::Sat(w) => assert!(base.contains_row(&w)),
             other => panic!("expected Sat, got {other:?}"),
         }
@@ -609,7 +500,7 @@ mod tests {
         // genuinely UNSAT, the abandoned probe must not claim so
         let b = QueryBudget::unlimited().with_sat_cap(0);
         assert_eq!(
-            find_witness_budgeted(&base, &[&left, &right], false, &b),
+            find_witness_budgeted(&base, &[&left, &right], &b),
             SatOutcome::Tripped
         );
         assert!(b.is_tripped());
@@ -624,7 +515,7 @@ mod tests {
         let b = QueryBudget::armed();
         b.cancel_token().expect("armed").cancel();
         assert_eq!(
-            find_witness_budgeted(&base, &[&left, &right], false, &b),
+            find_witness_budgeted(&base, &[&left, &right], &b),
             SatOutcome::Tripped
         );
     }

@@ -114,9 +114,8 @@ fn tile_predicate(tile: &[Interval; 2]) -> Predicate {
     Predicate::new(vec![Atom::new(0, tile[0]), Atom::new(1, tile[1])])
 }
 
-/// The tiling properties: the full tiling is UNSAT, dropping tile `drop`
-/// leaves a witness inside exactly that tile, and the sequential and
-/// parallel searches agree on both verdicts.
+/// The tiling properties: the full tiling is UNSAT, and dropping tile
+/// `drop` leaves a witness inside exactly that tile.
 fn check_tiling(base: &Region, tiles: &[[Interval; 2]], drop: usize) -> Result<(), TestCaseError> {
     let preds: Vec<Predicate> = tiles.iter().map(tile_predicate).collect();
     let all: Vec<&Predicate> = preds.iter().collect();
@@ -124,28 +123,20 @@ fn check_tiling(base: &Region, tiles: &[[Interval; 2]], drop: usize) -> Result<(
         sat::find_witness(base, &all).is_none(),
         "a tiling must refute"
     );
-    prop_assert!(
-        sat::find_witness_with(base, &all, true).is_none(),
-        "the parallel search must refute a tiling too"
-    );
     let dropped = drop % preds.len();
     let rest: Vec<&Predicate> = all
         .iter()
         .enumerate()
         .filter_map(|(i, p)| (i != dropped).then_some(*p))
         .collect();
-    for w in [
-        sat::find_witness(base, &rest),
-        sat::find_witness_with(base, &rest, true),
-    ] {
-        let w = w.ok_or_else(|| TestCaseError::fail("dropping a tile must open a hole"))?;
-        prop_assert!(base.contains_row(&w));
-        prop_assert!(
-            preds[dropped].eval(&w),
-            "witness {:?} lies outside the dropped tile",
-            w
-        );
-    }
+    let w = sat::find_witness(base, &rest)
+        .ok_or_else(|| TestCaseError::fail("dropping a tile must open a hole"))?;
+    prop_assert!(base.contains_row(&w));
+    prop_assert!(
+        preds[dropped].eval(&w),
+        "witness {:?} lies outside the dropped tile",
+        w
+    );
     Ok(())
 }
 
@@ -179,31 +170,6 @@ proptest! {
             prop_assert!(base.contains_row(&w));
             for p in &neg_refs {
                 prop_assert!(!p.eval(&w), "witness satisfies an excluded predicate");
-            }
-        }
-    }
-
-    /// The parallel witness search agrees with the sequential one on the
-    /// *verdict* (the witness row itself is first-hit-wins and may
-    /// differ), and its witnesses are genuine. Exclusion lists above
-    /// `PAR_WITNESS_CUTOFF` keep the fan-out path live on multi-worker
-    /// pools; on a one-worker pool the call degrades to sequential, so
-    /// the property holds on any host.
-    #[test]
-    fn parallel_witness_search_matches_sequential(
-        base_pred in arb_predicate(3),
-        negs in prop::collection::vec(arb_predicate(3), 0..10)
-    ) {
-        let schema = int_schema(3);
-        let base = base_pred.to_region(&schema);
-        let neg_refs: Vec<&Predicate> = negs.iter().collect();
-        let seq = sat::find_witness(&base, &neg_refs);
-        let par = sat::find_witness_with(&base, &neg_refs, true);
-        prop_assert_eq!(seq.is_some(), par.is_some(), "SAT verdict must not depend on parallelism");
-        if let Some(w) = par {
-            prop_assert!(base.contains_row(&w));
-            for p in &neg_refs {
-                prop_assert!(!p.eval(&w), "parallel witness satisfies an excluded predicate");
             }
         }
     }

@@ -60,8 +60,8 @@
 //!   (dictionary codes for categorical columns, observed values
 //!   otherwise), via the engine's two-level shared-decomposition group-by.
 //! * `--threads N` — worker threads for parallel decomposition, parallel
-//!   GROUP-BY groups / batch queries, the parallel witness search, and
-//!   the allocation MILP's branch & bound (`0` = auto-detect, `1` =
+//!   GROUP-BY groups / batch queries, and the allocation MILP's branch &
+//!   bound (`0` = auto-detect, `1` =
 //!   sequential; bounds are identical at any setting up to the branch &
 //!   bound pruning tolerance, ~1e-6).
 //! * `--per-key-groupby` — disable the shared-decomposition group-by
@@ -618,8 +618,8 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e.to_string()),
             };
             // --threads flows through the session/engine into
-            // decomposition, GROUP-BY group tasks, the parallel witness
-            // search, and the allocation MILP's branch & bound alike.
+            // decomposition, GROUP-BY group tasks, and the allocation
+            // MILP's branch & bound alike.
             // `bound` answers exactly one query, so the session's
             // domain-wide cell cache has nothing to amortize — worse, it
             // would trade the query-region pushdown for a possibly much
