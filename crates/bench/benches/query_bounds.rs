@@ -1,6 +1,6 @@
 //! Criterion bench for per-query bounding across the accuracy
 //! experiments' regimes (Figs 3-5, 9-11): disjoint Corr-PC (greedy),
-//! overlapping Rand-PC (decomposition + MILP/LP), AVG binary search, and
+//! overlapping Rand-PC (decomposition + MILP/LP), the AVG search, and
 //! the baselines' per-query costs for context.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -53,7 +53,7 @@ fn bench_query_bounds(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("corr_pc_avg_binary_search", |b| {
+    group.bench_function("corr_pc_avg", |b| {
         b.iter(|| corr_engine.bound(&avg_query).expect("bound"))
     });
     group.bench_function("corr_pc_count", |b| {

@@ -62,8 +62,8 @@ fn serving_set(n: usize) -> PcSet {
         // bound on a box small enough that query windows contain it
         // whole, so pushdown keeps the bound): floors force Ge rows into
         // the allocation LPs — a real phase 1 per cold solve — and
-        // engage the AVG binary search below, the workload shapes the
-        // tableau carry exists for
+        // engage the AVG search below, the workload shapes the tableau
+        // carry exists for
         let (hi, freq) = if i % 3 == 0 {
             (
                 lo + 3.0,
@@ -102,10 +102,10 @@ fn close(a: f64, b: f64) -> bool {
 /// The query stream: aggregate queries over staggered region windows —
 /// the repeated-traffic shape a session amortizes (every query's region
 /// cuts the shared decomposition differently). AVG queries are the
-/// chain-carry showcase: each runs a binary search of up to ~80
-/// feasibility probes over the *same* constraint rows with shifting
-/// objectives, so with the tableau carry every probe after the first
-/// re-prices one carried tableau instead of rebuilding cold.
+/// chain-carry showcase: each runs a handful of Dinkelbach probes over
+/// the *same* constraint rows with shifting objectives, so with the
+/// tableau carry every probe after the first re-prices one carried
+/// tableau instead of rebuilding cold.
 fn query_stream(count: usize) -> Vec<AggQuery> {
     (0..count)
         .map(|i| {

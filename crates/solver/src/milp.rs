@@ -220,7 +220,7 @@ pub fn solve_milp(
 
 /// [`solve_milp`] with a carried *root* tableau: chains of MILPs whose
 /// LPs share constraint structure and differ only in the objective — the
-/// AVG binary search solves one such MILP per probe — hand each solve's
+/// AVG search solves one such MILP per probe — hand each solve's
 /// root [`CanonicalTableau`] to the next, which re-prices it instead of
 /// rebuilding (a structural mismatch is discarded for a cold solve
 /// inside [`solve_lp_tableau`], exactly like the LP chains). Returns the

@@ -35,7 +35,7 @@
 //!   * [`solve_lp_tableau`] with a prior whose constraints and bounds
 //!     match the new program exactly re-optimizes the carried tableau
 //!     under the **new objective** with zero rebuild work — the shape of
-//!     an AVG binary search, where ~80 probes differ only in objective
+//!     an AVG search, whose probes differ only in objective
 //!     coefficients. A prior whose rows differ by a *small delta* (up to
 //!     [`ADAPT_MAX_DELTA`] inserted and/or deleted ≤/≥ rows at one
 //!     position, bounds unchanged — the shape of a serving session's
